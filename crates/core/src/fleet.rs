@@ -11,15 +11,17 @@
 //! the fleet's [`crate::parallel::WorkerPool`] executors:
 //!
 //! ```text
-//! ingest(p, chunk) ──► inbox p      (raw samples buffered, O(len) copy)
+//! ingest(p, chunk) ──► window p     (raw samples, one copy into the
+//!                                    patient's assembling window)
 //! ingest_row(p, r) ──► queue p      (pre-extracted rows buffered eagerly)
 //!                          │ flush()
 //!   ┌──────────────────────┴──────────────────────────────────────┐
-//!   │ stage 1 · sharded extraction                                │
-//!   │   sessions with buffered samples are claimed per-slot by    │
-//!   │   pool workers (par_map_mut); each extracts its windows     │
-//!   │   into its own slot's staging buffer — no locks, no shared  │
-//!   │   state on the hot path — then the staged windows join the  │
+//!   │ stage 1 · fleet-wide lane-batched extraction                │
+//!   │   every window completed since the last flush, whatever     │
+//!   │   patient it belongs to, joins a lane group of up to 8;     │
+//!   │   executors claim whole groups (par_map_mut) and run the    │
+//!   │   SoA lane kernels on windows read in place from their      │
+//!   │   assembly buffers — then the extracted windows join the    │
 //!   │   pending queues replayed in ingest order (overload policy) │
 //!   │ stage 2 · parallel panel fan-out                            │
 //!   │   ready rows across all queues → panels of 256 row refs →   │
@@ -33,8 +35,10 @@
 //! ```
 //!
 //! Decisions come back **bit-identical** to solo streaming at every
-//! worker count because each stage preserves order: extraction is
-//! per-session state with no cross-session dependence, the panel map is
+//! worker count because each stage preserves order: a window's features
+//! depend on its samples alone (lane-batched extraction is bit-identical
+//! to extracting each window by itself, so which patients share a lane
+//! group cannot matter), the panel map is
 //! order-preserving by construction, and route-back is a single ordered
 //! scatter — so the alarm state machines, drop accounting and window
 //! geometry cannot diverge (the `fleet_equivalence` suite pins this on a
@@ -46,15 +50,15 @@
 //!
 //! When the fleet resolves to **one** executor (`workers = Some(1)`, or
 //! `None` on a single-core machine) there is nothing to fan out, so
-//! deferring work to the flush would only let its inputs go cold: the
-//! extract stage runs inside [`FleetScheduler::ingest`] while the chunk
-//! is cache-warm, and each [`FLUSH_PANEL_ROWS`]-row panel is classified
-//! incrementally the moment it fills (rows straight out of extraction
-//! or [`FleetScheduler::ingest_row`] are L1/L2-hot; a flush-time sweep
-//! over a 1024-patient backlog re-reads megabytes of cold rows). On a
-//! parallel set both stages defer to the flush so they can shard. The
-//! executor set only ever moves work between ingest and flush — same
-//! windows, same kernels, same order, bit-identical results.
+//! each [`FLUSH_PANEL_ROWS`]-row panel is classified incrementally the
+//! moment it fills (rows straight out of extraction or
+//! [`FleetScheduler::ingest_row`] are L1/L2-hot; a flush-time sweep over
+//! a 1024-patient backlog re-reads megabytes of cold rows). On a
+//! parallel set classification defers to the flush so panels can fan
+//! out. Raw-sample extraction runs at the flush on every executor set:
+//! only there do windows from many patients meet to fill 8-lane groups.
+//! The executor set only ever moves work between ingest and flush —
+//! same windows, same kernels, same order, bit-identical results.
 //!
 //! ## Backpressure
 //!
@@ -100,9 +104,10 @@
 //!
 //! ## Ingest modes
 //!
-//! * [`FleetScheduler::ingest`] — raw ECG chunks; samples are buffered
-//!   per session and extracted shard-parallel inside the next flush (the
-//!   monitor-parity mode the equivalence tests drive).
+//! * [`FleetScheduler::ingest`] — raw ECG chunks; samples are copied
+//!   once, into the patient's assembling window, and every completed
+//!   window is extracted fleet-wide, lane-batched, inside the next flush
+//!   (the monitor-parity mode the equivalence tests drive).
 //! * [`FleetScheduler::ingest_row`] — pre-extracted 53-feature rows; the
 //!   on-device-extraction topology where wearables run DSP locally and
 //!   the fleet spends its cycles purely on classification, which is
@@ -116,9 +121,10 @@ use crate::clock::{FleetClock, LatencyHistogram, TickConfig, TickOutcome};
 use crate::error::CoreError;
 use crate::parallel::WorkerPool;
 use crate::stream::{
-    pooled_windows_per_sec, PendingWindow, SharedEngine, StreamConfig, StreamStats,
-    StreamingSession, WindowDecision,
+    extract_group, pooled_windows_per_sec, ExtractJob, PendingWindow, SharedEngine, StreamConfig,
+    StreamStats, StreamingSession, WindowDecision, LANE_GROUP,
 };
+use ecg_features::extract::WindowExtractor;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -346,8 +352,8 @@ impl FleetStats {
 /// accounting plus anything still buffered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemovedPatient {
-    /// The removed session's lifetime stats (buffered raw samples are
-    /// settled through the extractor first, so `samples_in` is exact).
+    /// The removed session's lifetime stats (`samples_in` counts every
+    /// sample ingested, extracted or not).
     pub stats: StreamStats,
     /// Alarms the session had raised but nobody had collected.
     pub alarms: Vec<AlarmEvent>,
@@ -413,18 +419,11 @@ struct QueuedWindow {
     arrival_ns: u64,
 }
 
-/// One admitted patient: the session, its raw-sample inbox (deferred
-/// extract-stage input), the per-flush staging buffer the shard workers
-/// fill, and its queue of extracted, not-yet-decided windows.
+/// One admitted patient: the session (which holds its assembled,
+/// not-yet-extracted windows), the per-flush staging buffer the extract
+/// stage fills, and its queue of extracted, not-yet-decided windows.
 struct Slot {
     session: StreamingSession,
-    /// Raw samples buffered since the last flush; drained by the
-    /// sharded extract stage (or settled inline on remove/restart).
-    inbox: Vec<f64>,
-    /// Raw samples ever fed to this session (inbox included) — drives
-    /// geometry-based window accounting at ingest time and the
-    /// sample-fed/row-fed mode guard.
-    fed_samples: u64,
     /// Windows the extract stage produced this flush, awaiting ordered
     /// replay into `queue`; empty between flushes.
     staged: Vec<PendingWindow>,
@@ -448,28 +447,12 @@ impl Slot {
     fn new(session: StreamingSession) -> Self {
         Slot {
             session,
-            inbox: Vec::new(),
-            fed_samples: 0,
             staged: Vec::new(),
             staged_next: 0,
             queue: VecDeque::new(),
             shed_cursor: 0,
             pending_rows: 0,
         }
-    }
-
-    /// Runs the deferred extract stage for this slot: every buffered
-    /// raw sample flows through the session's ring/scheduler/extractor
-    /// and the completed windows land in `staged`. Self-contained per
-    /// slot (no fleet state touched), which is what makes the stage
-    /// safely shardable across pool workers.
-    fn settle_inbox(&mut self) {
-        if self.inbox.is_empty() {
-            return;
-        }
-        self.session
-            .extract_windows_into(&self.inbox, &mut self.staged);
-        self.inbox.clear();
     }
 
     /// Moves the next staged window out (replay order).
@@ -585,6 +568,12 @@ pub struct FleetScheduler {
     stats: FleetStats,
     /// Reused decision-value buffer of the flush classify stage.
     values: Vec<f64>,
+    /// Feature extractor of the fleet-wide extract stage (every session
+    /// shares the fleet's stream geometry and precision).
+    extractor: WindowExtractor,
+    /// Reused work list of the fleet-wide extract stage: every window
+    /// assembled since the last flush, in (patient asc, window) order.
+    extract_jobs: Vec<ExtractJob>,
     /// Executors for the flush pipeline's parallel stages.
     exec: FlushExec,
     /// Cache-aware panel scheduling: on a **serial** executor set
@@ -667,6 +656,8 @@ impl FleetScheduler {
             arrival: VecDeque::new(),
             stats: FleetStats::default(),
             values: Vec::new(),
+            extractor: WindowExtractor::with_precision(cfg.stream.fs, cfg.stream.precision),
+            extract_jobs: Vec::new(),
             exec,
             eager,
             hot: Vec::new(),
@@ -764,9 +755,8 @@ impl FleetScheduler {
 
     /// Removes a patient, handing back the session's final stats, any
     /// uncollected alarms and the count of pending windows discarded
-    /// undecided (flush first to decide them). Buffered raw samples are
-    /// settled through the extractor so the final `samples_in` is
-    /// exact; windows they complete are discarded undecided too.
+    /// undecided (flush first to decide them). Windows assembled but not
+    /// yet extracted are discarded without running extraction.
     ///
     /// # Errors
     ///
@@ -784,9 +774,8 @@ impl FleetScheduler {
         let mut slot = self.slots.remove(idx);
         self.last_idx = usize::MAX; // indices shifted
         self.fair_cursor = 0; // indices shifted
-        slot.settle_inbox();
         let discarded_rows = slot.queue.iter().filter(|e| e.window.row.is_some()).count();
-        let discarded = slot.queue.len() + slot.staged.len();
+        let discarded = slot.queue.len() + slot.session.assembled_windows();
         self.pending_chunks.retain(|r| r.patient != patient);
         self.forget_arrivals(patient, discarded_rows);
         self.stats.pending_windows -= discarded;
@@ -820,15 +809,11 @@ impl FleetScheduler {
         // incremental-panel index so no entry dangles.
         self.classify_hot();
         let slot = &mut self.slots[idx];
-        slot.settle_inbox();
         let discarded_rows = slot.queue.iter().filter(|e| e.window.row.is_some()).count();
-        let discarded = slot.queue.len() + slot.staged.len();
+        let discarded = slot.queue.len() + slot.session.assembled_windows();
         slot.queue.clear();
-        slot.staged.clear();
-        slot.staged_next = 0;
         slot.shed_cursor = 0;
         slot.pending_rows = 0;
-        slot.fed_samples = 0;
         let mut old = std::mem::replace(&mut slot.session, fresh);
         self.pending_chunks.retain(|r| r.patient != patient);
         self.forget_arrivals(patient, discarded_rows);
@@ -844,14 +829,11 @@ impl FleetScheduler {
     }
 
     /// Ingests one raw-sample chunk for `patient` and returns how many
-    /// windows it completed (by geometry). On a parallel executor set
-    /// the samples are buffered on the patient's slot (an O(len) copy)
-    /// and the sharded extract stage runs them all at the next
-    /// [`FleetScheduler::flush`]; on a serial set the slot's extract
-    /// stage runs right here, while the chunk is cache-warm (there is
-    /// nothing to shard). Either way the extracted windows replay into
-    /// the pending queues at flush, in fleet-wide ingest order — the
-    /// executor set moves work between ingest and flush, never results.
+    /// windows it completed. The samples are copied once, straight into
+    /// the patient's assembling window; completed windows wait there
+    /// until the next [`FleetScheduler::flush`] extracts them
+    /// fleet-wide in 8-lane groups and replays them into the pending
+    /// queues in fleet-wide ingest order.
     ///
     /// # Errors
     ///
@@ -873,21 +855,7 @@ impl FleetScheduler {
                  (window numbering would fork)"
             )));
         }
-        let before = self.cfg.stream.windows_in(slot.fed_samples);
-        slot.fed_samples += chunk.len() as u64;
-        let completed = (self.cfg.stream.windows_in(slot.fed_samples) - before) as usize;
-        if self.eager {
-            // Serial executor set: run this slot's extract stage now,
-            // while the chunk is cache-warm on the ingesting caller —
-            // there is no shard parallelism to defer for. The windows
-            // still stage here and replay at the next flush in
-            // fleet-wide ingest order (the chunk records), so the
-            // overload policy sees exactly the schedule the deferred
-            // path would give it — identical results, warmer cache.
-            slot.session.extract_windows_into(chunk, &mut slot.staged);
-        } else {
-            slot.inbox.extend_from_slice(chunk);
-        }
+        let completed = slot.session.assemble(chunk);
         if completed > 0 {
             self.pending_chunks.push(ChunkRecord {
                 patient,
@@ -925,14 +893,8 @@ impl FleetScheduler {
                 "patient {patient} is not admitted"
             )));
         };
-        let slot = &mut self.slots[idx];
-        if slot.fed_samples > 0 {
-            return Err(CoreError::InvalidConfig(format!(
-                "patient {patient} is sample-fed; cannot mix pre-extracted rows \
-                 (window numbering would fork)"
-            )));
-        }
-        let pending = slot.session.pend_row(row)?;
+        // `pend_row` rejects a sample-fed session and a malformed row.
+        let pending = self.slots[idx].session.pend_row(row)?;
         let arrival_ns = self.clock.as_ref().map_or(0, FleetClock::now_ns);
         self.stats.pending_windows += 1;
         self.enqueue_at(idx, patient, pending, arrival_ns);
@@ -1222,24 +1184,37 @@ impl FleetScheduler {
         Ok(())
     }
 
-    /// Flush stage 1a: every slot with buffered raw samples runs its
-    /// extract stage, shard-parallel across the executors. Each slot is
-    /// claimed whole by one executor and extracts into its own staging
-    /// buffer — per-session state only, no locks. Dynamic claiming
-    /// load-balances uneven inboxes; the claim order cannot matter
-    /// because extraction output is a pure function of per-session
-    /// state.
+    /// Flush stage 1a: fleet-wide lane-batched extraction. Every window
+    /// assembled since the last flush, whichever patient it belongs to,
+    /// is dealt into lane groups of up to [`LANE_GROUP`] in
+    /// (patient asc, window) order; executors claim whole groups and run
+    /// them through the SoA lane kernels, reading each window in place.
+    /// Groups shrink below 8 only when there are too few windows to give
+    /// every executor one. The extracted windows stage on their slots for
+    /// the ordered replay. A window's row depends on its samples alone,
+    /// so neither the grouping nor the claim order can change a result.
     fn extract_stage(&mut self) {
-        let mut dirty: Vec<&mut Slot> = self
-            .slots
-            .iter_mut()
-            .filter(|s| !s.inbox.is_empty())
-            .collect();
-        if dirty.is_empty() {
-            return;
+        let mut jobs = std::mem::take(&mut self.extract_jobs);
+        for (idx, slot) in self.slots.iter_mut().enumerate() {
+            slot.session.drain_assembled(idx, &mut jobs);
         }
-        self.exec
-            .par_map_mut(&mut dirty, |slot| slot.settle_inbox());
+        if !jobs.is_empty() {
+            let executors = self.exec.executors();
+            let group_len = jobs.len().div_ceil(executors).clamp(1, LANE_GROUP);
+            // lint: allow(hot-alloc) — per-flush staging of borrowed group
+            // slices (pointer-sized entries, one per lane group): the borrows
+            // are tied to this flush's work list.
+            let mut groups: Vec<&mut [ExtractJob]> = jobs.chunks_mut(group_len).collect();
+            let extractor = &self.extractor;
+            self.exec
+                .par_map_mut(&mut groups, |group| extract_group(extractor, group));
+        }
+        for job in jobs.drain(..) {
+            let slot = &mut self.slots[job.owner];
+            let window = slot.session.finish_extracted(job);
+            slot.staged.push(window);
+        }
+        self.extract_jobs = jobs;
     }
 
     /// Flush stage 1b: replays the staged windows into the pending
@@ -1279,9 +1254,9 @@ impl FleetScheduler {
 
     /// Merged per-session accounting across the currently admitted
     /// sessions (sessions already removed are not included — collect
-    /// their stats from [`RemovedPatient`]). Raw samples still buffered
-    /// for the deferred extract stage are not in `samples_in` yet; they
-    /// settle at the next flush. Remember the merged `windows_per_sec`
+    /// their stats from [`RemovedPatient`]). `samples_in` counts samples at
+    /// ingest, before their windows are extracted at the next flush.
+    /// Remember the merged `windows_per_sec`
     /// is serial-equivalent, not wall-clock — see
     /// [`StreamStats::windows_per_sec`] and
     /// [`FleetStats::wall_windows_per_sec`].
@@ -1709,61 +1684,40 @@ mod tests {
     }
 
     #[test]
-    fn raw_ingest_extraction_follows_the_executor_set() {
-        // Parallel executor set: extraction defers to the flush so the
-        // per-session shards can fan out across the pool.
-        let mut par_cfg = cfg();
-        par_cfg.workers = Some(2);
-        let mut fleet = FleetScheduler::new(engine(), par_cfg).unwrap();
-        fleet.admit(1).unwrap();
-        // A full flat window completes by geometry at ingest time…
-        assert_eq!(fleet.ingest(1, &[0.0; 3840]).unwrap(), 1);
-        assert_eq!(fleet.stats().pending_windows, 1);
-        // …but extraction has not run yet: the session has seen no
-        // samples and no rows are buffered.
-        assert_eq!(fleet.patient_stats(1).unwrap().samples_in, 0);
-        assert_eq!(fleet.stats().pending_rows, 0);
-        // Partial chunks complete nothing but still count their samples.
-        assert_eq!(fleet.ingest(1, &[0.0; 100]).unwrap(), 0);
-        // The flush settles everything: extraction runs, the window is
-        // decided (dropped — a flat line has no beats), samples settle.
-        let flush = fleet.flush();
-        assert_eq!(flush.decisions.len(), 1);
-        assert_eq!(flush.decisions[0].decision.decision, None);
-        assert_eq!(fleet.patient_stats(1).unwrap().samples_in, 3940);
-        assert_eq!(fleet.stats().pending_windows, 0);
-        // Removing a patient with a dirty inbox settles it first so the
-        // departing stats are exact.
-        fleet.ingest(1, &[0.0; 4000]).unwrap();
-        let removed = fleet.remove(1).unwrap();
-        assert_eq!(removed.stats.samples_in, 3940 + 4000);
-        assert_eq!(removed.discarded_windows, 1);
-        assert_eq!(fleet.stats().discarded_windows, 1);
-        assert_eq!(fleet.stats().pending_windows, 0);
-
-        // Serial executor set: the extract stage runs inside `ingest`,
-        // while the chunk is cache-warm (nothing to shard) — but the
-        // windows still replay and decide at the flush, so only the
-        // schedule moves, never results.
-        let mut ser_cfg = cfg();
-        ser_cfg.workers = Some(1);
-        let mut fleet = FleetScheduler::new(engine(), ser_cfg).unwrap();
-        fleet.admit(1).unwrap();
-        assert_eq!(fleet.ingest(1, &[0.0; 3840]).unwrap(), 1);
-        // Samples settle immediately…
-        assert_eq!(fleet.patient_stats(1).unwrap().samples_in, 3840);
-        // …but the window stays staged (not queued) until the flush.
-        assert_eq!(fleet.stats().pending_windows, 1);
-        assert_eq!(fleet.stats().pending_rows, 0);
-        let flush = fleet.flush();
-        assert_eq!(flush.decisions.len(), 1);
-        assert_eq!(flush.decisions[0].decision.decision, None);
-        assert_eq!(fleet.stats().pending_windows, 0);
-        // Removal discards staged-but-unflushed windows too.
-        assert_eq!(fleet.ingest(1, &[0.0; 3840]).unwrap(), 1);
-        let removed = fleet.remove(1).unwrap();
-        assert_eq!(removed.stats.samples_in, 2 * 3840);
-        assert_eq!(removed.discarded_windows, 1);
+    fn raw_ingest_assembles_at_ingest_and_extracts_at_flush() {
+        // Every executor set behaves alike: samples count the moment
+        // they are ingested (they are copied into the assembling window),
+        // while extraction waits for the flush, where windows of every
+        // patient meet in lane groups.
+        for workers in [Some(1), Some(2)] {
+            let mut fleet =
+                FleetScheduler::new(engine(), FleetConfig { workers, ..cfg() }).unwrap();
+            fleet.admit(1).unwrap();
+            // A full flat window completes at ingest time…
+            assert_eq!(fleet.ingest(1, &[0.0; 3840]).unwrap(), 1);
+            assert_eq!(fleet.stats().pending_windows, 1);
+            assert_eq!(fleet.patient_stats(1).unwrap().samples_in, 3840);
+            // …but it is not extracted yet: no row is buffered.
+            assert_eq!(fleet.stats().pending_rows, 0);
+            // Partial chunks complete nothing but still count their samples.
+            assert_eq!(fleet.ingest(1, &[0.0; 100]).unwrap(), 0);
+            assert_eq!(fleet.patient_stats(1).unwrap().samples_in, 3940);
+            // The flush extracts and decides the window (dropped — a flat
+            // line has no beats).
+            let flush = fleet.flush();
+            assert_eq!(flush.decisions.len(), 1, "workers {workers:?}");
+            assert_eq!(flush.decisions[0].decision.decision, None);
+            assert_eq!(fleet.stats().pending_windows, 0);
+            // Removal discards a completed but unextracted window, and the
+            // departing stats count every sample.
+            assert_eq!(fleet.ingest(1, &[0.0; 4000]).unwrap(), 1);
+            let removed = fleet.remove(1).unwrap();
+            assert_eq!(removed.stats.samples_in, 3940 + 4000);
+            assert_eq!(removed.stats.windows, 1);
+            assert_eq!(removed.discarded_windows, 1);
+            assert_eq!(fleet.stats().discarded_windows, 1);
+            assert_eq!(fleet.stats().pending_windows, 0);
+        }
     }
 
     #[test]
@@ -1789,8 +1743,8 @@ mod tests {
         fleet.ingest_row(2, Some(&row(3.0))).unwrap();
         let flush = fleet.flush();
         assert_eq!(flush.rows_classified, 2);
-        // The sample-fed guard persists across the flush (the inbox
-        // settled, but the session keeps its sample history).
+        // The sample-fed guard persists across the flush (the session
+        // keeps its sample history).
         assert!(fleet.ingest_row(1, Some(&row(4.0))).is_err());
         // …until a restart wipes the mode.
         fleet.restart(1).unwrap();

@@ -7,9 +7,10 @@
 //! window completes. [`StreamingSession`] bridges the two worlds:
 //!
 //! ```text
-//! push_samples(chunk) ─► SampleRing ─► WindowScheduler ─► extract_into
-//!                        (biodsp)      (window/stride)    (scratch-reusing)
-//!                                                              │
+//! push_samples(chunk) ─► WindowAssembler ─► extract_batch
+//!                        (biodsp; one copy   (lane groups of up to 8,
+//!                         per sample)         per-thread scratch)
+//!                                                  │
 //!                       WindowDecision ◄── ClassifierEngine ◄──┘
 //! ```
 //!
@@ -20,13 +21,14 @@
 //!   on the same windows (window `i` covers samples
 //!   `[i·stride, i·stride + window_len)`), for every
 //!   [`ClassifierEngine`] backend;
-//! * **allocation-light hot loop** — the ring, the window copy, the QRS
-//!   scratch (all of the sample-rate-proportional work) and the feature
-//!   row are reused across windows; after warm-up the only per-window
-//!   heap traffic is a handful of row-sized (53-element) vectors (the
-//!   pending feature row plus buffers inside the engine's `decision`)
-//!   and the beat-rate buffers of RR/EDR processing, two orders of
-//!   magnitude below the window itself.
+//! * **allocation-light hot loop** — window buffers, the QRS scratch
+//!   (all of the sample-rate-proportional work) and the feature rows are
+//!   reused across windows; after warm-up the only per-window heap
+//!   traffic is a handful of row-sized (53-element) vectors (buffers
+//!   inside the engine's `decision`) and the beat-rate buffers of RR/EDR
+//!   processing, two orders of magnitude below the window itself. Each
+//!   sample is copied once, from the pushed chunk into its window's
+//!   buffer, which extraction then reads in place.
 //!
 //! The per-window pipeline is split into two stages so it can be driven
 //! two ways: the **extract stage**
@@ -41,16 +43,13 @@
 //! [`run_streams_parallel`], which fans sessions out on
 //! [`crate::parallel::par_map`] while sharing one engine.
 
-// lint: allow-file(hot-index) — streaming bookkeeping: ring/batch offsets come
-// from the window scheduler's drain contract (`min_ring_capacity`) and the
-// lane-group layout sized in the same function.
 use crate::alarm::{AlarmConfig, AlarmEvent, AlarmStateMachine};
 use crate::clock::LatencyHistogram;
 use crate::error::CoreError;
 use crate::parallel::par_map_mut;
-use biodsp::stream::{SampleRing, WindowScheduler};
+use biodsp::stream::{AssembledWindow, WindowAssembler};
 use biodsp::ExtractPrecision;
-use ecg_features::extract::{ExtractScratch, WindowExtractor};
+use ecg_features::extract::WindowExtractor;
 use ecg_features::N_FEATURES;
 use std::sync::Arc;
 use std::time::Instant;
@@ -119,11 +118,8 @@ impl StreamConfig {
     }
 
     /// Number of windows completed once `samples` total samples have
-    /// been fed — pure geometry, exactly the count the window scheduler
-    /// emits (window `i` completes at sample `i·stride + window_len`).
-    /// Lets buffering layers (the fleet's deferred extract stage)
-    /// account for completed-but-unextracted windows without touching a
-    /// session.
+    /// been fed — pure geometry, exactly the count the window assembler
+    /// completes (window `i` completes at sample `i·stride + window_len`).
     pub fn windows_in(&self, samples: u64) -> u64 {
         let (w, s) = (self.window_len as u64, self.stride as u64);
         if samples >= w {
@@ -270,23 +266,19 @@ impl StreamStats {
     }
 }
 
-/// One patient stream: ring + scheduler + scratch-reusing extraction +
-/// a shared [`ClassifierEngine`].
+/// One patient stream: single-copy window assembly + lane-batched
+/// extraction + a shared [`ClassifierEngine`].
 pub struct StreamingSession {
     cfg: StreamConfig,
     engine: SharedEngine,
-    ring: SampleRing,
-    sched: WindowScheduler,
+    assembler: WindowAssembler,
+    /// Windows the assembler completed that await extraction (at most
+    /// one lane group on the solo path; a fleet drains them fleet-wide
+    /// at its next flush).
+    assembled: Vec<AssembledWindow>,
+    /// Reused work list of the solo lane-group drain.
+    jobs: Vec<ExtractJob>,
     extractor: WindowExtractor,
-    scratch: ExtractScratch,
-    /// Pooled copies of completed windows awaiting lane-batched
-    /// extraction: up to [`LANE_GROUP`] windows side by side
-    /// (`window_len` samples each), drained whenever the group fills or
-    /// the chunk ends.
-    batch_buf: Vec<f64>,
-    /// `(window index, start sample)` of each pooled window.
-    batch_spans: Vec<(u64, u64)>,
-    row_buf: Vec<f64>,
     stats: StreamStats,
     /// Optional alarm stage folding decisions into alarms online.
     alarm: Option<AlarmStateMachine>,
@@ -305,11 +297,67 @@ pub struct StreamingSession {
 /// patient between flushes).
 const ROW_POOL_CAP: usize = 64;
 
-/// Completed windows pooled between lane-batched extraction drains —
-/// the widest SoA lane group ([`WindowExtractor::extract_batch_into`]
-/// packs 8/4/2 lanes greedily), and therefore also the cap on a
-/// session's pooled window copies (`LANE_GROUP × window_len` samples).
-const LANE_GROUP: usize = 8;
+/// Windows per lane-batched extraction call — the widest SoA lane group
+/// ([`WindowExtractor::extract_batch_into`] packs 8/4/2 lanes greedily).
+/// Also the cap on the completed windows a solo session holds between
+/// drains (`LANE_GROUP × window_len` samples).
+pub(crate) const LANE_GROUP: usize = 8;
+
+/// One assembled window on its way through lane-batched extraction —
+/// the work item of a solo session's drain and of the fleet's
+/// fleet-wide extract stage alike.
+#[derive(Debug)]
+pub(crate) struct ExtractJob {
+    /// Who owns the window: the fleet's slot index (0 on the solo path).
+    pub(crate) owner: usize,
+    window: AssembledWindow,
+    /// A recycled row allocation of the owning session; holds the
+    /// 53-feature row once `ok`.
+    row: Vec<f64>,
+    ok: bool,
+    /// The window's share of its group's extraction wall clock.
+    extract_ns: u64,
+}
+
+/// Extracts one lane group of at most [`LANE_GROUP`] jobs through
+/// [`WindowExtractor::extract_batch`] (lane scratch per thread, so any
+/// executor can take any group), reading each window in place from its
+/// assembly buffer. Every row is bit-identical to extracting its window
+/// alone, whichever windows share its group. The group runs as one
+/// unit, so each window carries an even share of the group's wall clock
+/// (the first absorbs the remainder) — per-window latency stays
+/// meaningful while the sum stays exact.
+pub(crate) fn extract_group(extractor: &WindowExtractor, group: &mut [ExtractJob]) {
+    debug_assert!(group.len() <= LANE_GROUP, "one lane group at a time");
+    let n = group.len().min(LANE_GROUP);
+    if n == 0 {
+        return;
+    }
+    let t0 = Instant::now();
+    let mut rows: [Vec<f64>; LANE_GROUP] = Default::default();
+    let mut ok = [false; LANE_GROUP];
+    for (row, job) in rows.iter_mut().zip(group.iter_mut()) {
+        *row = std::mem::take(&mut job.row);
+    }
+    let mut windows: [&[f64]; LANE_GROUP] = [&[]; LANE_GROUP];
+    for (w, job) in windows.iter_mut().zip(group.iter()) {
+        *w = &job.window.samples;
+    }
+    extractor.extract_batch(windows.get(..n).unwrap_or_default(), |j, result| {
+        if let (Ok(values), Some(row), Some(flag)) = (result, rows.get_mut(j), ok.get_mut(j)) {
+            row.clear();
+            row.extend_from_slice(values);
+            *flag = true;
+        }
+    });
+    let total = t0.elapsed().as_nanos() as u64;
+    let (share, rem) = (total / n as u64, total % n as u64);
+    for (k, ((job, row), flag)) in group.iter_mut().zip(rows).zip(ok).enumerate() {
+        job.row = row;
+        job.ok = flag;
+        job.extract_ns = share + if k == 0 { rem } else { 0 };
+    }
+}
 
 // `dyn ClassifierEngine` has no Debug of its own; show its cost metadata.
 impl std::fmt::Debug for StreamingSession {
@@ -346,20 +394,15 @@ impl StreamingSession {
                 "stream sampling rate must be positive".into(),
             ));
         }
-        let sched = WindowScheduler::new(cfg.window_len, cfg.stride)
+        let assembler = WindowAssembler::new(cfg.window_len, cfg.stride)
             .map_err(|e| CoreError::InvalidConfig(format!("stream windowing: {e}")))?;
-        let ring = SampleRing::new(sched.min_ring_capacity())
-            .map_err(|e| CoreError::InvalidConfig(format!("stream ring: {e}")))?;
         Ok(StreamingSession {
             cfg,
             extractor: WindowExtractor::with_precision(cfg.fs, cfg.precision),
             engine,
-            ring,
-            sched,
-            scratch: ExtractScratch::default(),
-            batch_buf: Vec::new(),
-            batch_spans: Vec::new(),
-            row_buf: Vec::with_capacity(N_FEATURES),
+            assembler,
+            assembled: Vec::new(),
+            jobs: Vec::new(),
             stats: StreamStats::default(),
             alarm: None,
             pending_alarms: Vec::new(),
@@ -484,107 +527,83 @@ impl StreamingSession {
             "session already ingested pre-extracted rows; cannot mix raw-sample ingestion \
              (window numbering would fork)"
         );
-        self.stats.samples_in += chunk.len() as u64;
-        debug_assert!(self.batch_spans.is_empty());
-        let wl = self.cfg.window_len;
-        // Sub-feed at most `stride` samples between drains so the ring
-        // bound of `WindowScheduler::min_ring_capacity` always holds.
-        // Completed windows are copied out immediately (the ring may
-        // overwrite them on the next sub-feed) but *extracted* in
-        // lane groups of up to [`LANE_GROUP`]: the dense DSP phases run
-        // lock-step across the group (`WindowExtractor::extract_batch`),
-        // bit-identical per window to the one-at-a-time path.
-        for sub in chunk.chunks(self.sched.stride()) {
-            self.ring.push(sub);
-            for idx in self.sched.on_samples(sub.len()) {
-                let span = self.sched.span(idx);
-                let pooled = self.batch_spans.len();
-                self.batch_buf.resize((pooled + 1) * wl, 0.0);
-                self.ring
-                    .copy_into(span.start, &mut self.batch_buf[pooled * wl..][..wl])
-                    // lint: allow(hot-panic) — invariant: the ring is built
-                    // with `WindowScheduler::min_ring_capacity` and sub-feeds
-                    // are capped at `stride`, so completed spans are in range.
-                    .expect("ring sized for the scheduler's drain contract");
-                self.batch_spans.push((span.index, span.start));
-                if self.batch_spans.len() == LANE_GROUP {
-                    self.drain_window_batch(pending);
-                }
-            }
+        // At most LANE_GROUP windows complete within LANE_GROUP strides,
+        // so draining after every such sub-chunk extracts in full lane
+        // groups while capping the windows held at one group.
+        for sub in chunk.chunks(LANE_GROUP.saturating_mul(self.cfg.stride)) {
+            self.assemble(sub);
+            self.extract_assembled_into(pending);
         }
-        self.drain_window_batch(pending);
     }
 
-    /// Extracts the pooled window copies (one lane group at most) into
-    /// `pending` rows and empties the pool. Rows are handed out in
-    /// recycled allocations (see [`StreamingSession::recycle_row`]), so
-    /// the hot loop stays free of per-window heap churn after warm-up.
-    ///
-    /// `extract_ns` accounting: the group runs as one lane-batched unit,
-    /// so each window carries an even share of the group's wall clock
-    /// (the first window absorbs the remainder) — per-window latency
-    /// stays meaningful while the sum stays exact.
-    fn drain_window_batch(&mut self, pending: &mut Vec<PendingWindow>) {
-        let nw = self.batch_spans.len();
-        if nw == 0 {
-            return;
-        }
-        let wl = self.cfg.window_len;
-        let base = pending.len();
-        let t0 = Instant::now();
-        if nw == 1 {
-            let row = match self.extractor.extract_into(
-                &self.batch_buf[..wl],
-                &mut self.scratch,
-                &mut self.row_buf,
-            ) {
-                Ok(()) => {
-                    let mut row = self.row_pool.pop().unwrap_or_default();
-                    row.clear();
-                    row.extend_from_slice(&self.row_buf);
-                    Some(row)
-                }
-                Err(_) => None,
-            };
-            pending.push(PendingWindow {
-                window_index: self.batch_spans[0].0,
-                start_sample: self.batch_spans[0].1,
-                row,
+    /// Feeds raw samples to the window assembler — the one copy each
+    /// sample makes — and returns how many windows completed. They wait
+    /// in the session, unextracted, for [`StreamingSession::extract_windows_into`]
+    /// or the fleet's extract stage. The caller has ruled out a row-fed
+    /// session.
+    pub(crate) fn assemble(&mut self, chunk: &[f64]) -> usize {
+        self.stats.samples_in += chunk.len() as u64;
+        self.assembler.push_into(chunk, &mut self.assembled)
+    }
+
+    /// Completed windows awaiting extraction.
+    pub(crate) fn assembled_windows(&self) -> usize {
+        self.assembled.len()
+    }
+
+    /// Moves every completed window onto `jobs`, tagged with `owner` and
+    /// carrying a recycled row allocation to extract into.
+    pub(crate) fn drain_assembled(&mut self, owner: usize, jobs: &mut Vec<ExtractJob>) {
+        for window in self.assembled.drain(..) {
+            jobs.push(ExtractJob {
+                owner,
+                window,
+                row: self.row_pool.pop().unwrap_or_default(),
+                ok: false,
                 extract_ns: 0,
             });
+        }
+    }
+
+    /// Turns an extracted job back into a [`PendingWindow`]: the row when
+    /// extraction succeeded (otherwise its allocation returns to the
+    /// pool), and the window's buffer back to the assembler.
+    pub(crate) fn finish_extracted(&mut self, job: ExtractJob) -> PendingWindow {
+        let ExtractJob {
+            window,
+            row,
+            ok,
+            extract_ns,
+            ..
+        } = job;
+        let row = if ok {
+            Some(row)
         } else {
-            let mut refs: [&[f64]; LANE_GROUP] = [&[]; LANE_GROUP];
-            for (slot, w) in refs.iter_mut().zip(self.batch_buf.chunks_exact(wl)) {
-                *slot = w;
-            }
-            let spans = &self.batch_spans;
-            let row_pool = &mut self.row_pool;
-            self.extractor.extract_batch(&refs[..nw], |j, r| {
-                let row = match r {
-                    Ok(slice) => {
-                        let mut row = row_pool.pop().unwrap_or_default();
-                        row.clear();
-                        row.extend_from_slice(slice);
-                        Some(row)
-                    }
-                    Err(_) => None,
-                };
-                pending.push(PendingWindow {
-                    window_index: spans[j].0,
-                    start_sample: spans[j].1,
-                    row,
-                    extract_ns: 0,
-                });
-            });
+            self.recycle_row(row);
+            None
+        };
+        self.assembler.recycle(window.samples);
+        PendingWindow {
+            window_index: window.index,
+            start_sample: window.start,
+            row,
+            extract_ns,
         }
-        let total = t0.elapsed().as_nanos() as u64;
-        let share = total / nw as u64;
-        let rem = total % nw as u64;
-        for (k, w) in pending[base..].iter_mut().enumerate() {
-            w.extract_ns = share + if k == 0 { rem } else { 0 };
+    }
+
+    /// The solo drain: extracts the completed windows (one lane group at
+    /// most) into `pending` rows.
+    fn extract_assembled_into(&mut self, pending: &mut Vec<PendingWindow>) {
+        if self.assembled.is_empty() {
+            return;
         }
-        self.batch_spans.clear();
-        self.batch_buf.clear();
+        let mut jobs = std::mem::take(&mut self.jobs);
+        self.drain_assembled(0, &mut jobs);
+        extract_group(&self.extractor, &mut jobs);
+        for job in jobs.drain(..) {
+            pending.push(self.finish_extracted(job));
+        }
+        self.jobs = jobs;
     }
 
     /// **Decide stage**: folds one pending window's decision into the
@@ -886,12 +905,13 @@ mod tests {
                 stride,
                 precision: ExtractPrecision::default(),
             };
-            let mut sched = WindowScheduler::new(window_len, stride).unwrap();
+            let mut assembler = WindowAssembler::new(window_len, stride).unwrap();
+            let mut done = Vec::new();
             let mut emitted = 0u64;
             for samples in 0..(3 * window_len as u64 + 1) {
                 if samples > 0 {
-                    let fresh = sched.on_samples(1);
-                    emitted += fresh.end - fresh.start;
+                    emitted += assembler.push_into(&[0.0], &mut done) as u64;
+                    done.clear();
                 }
                 assert_eq!(
                     cfg.windows_in(samples),

@@ -28,15 +28,19 @@
 //! Only the *dense* phases are laned: the cascade-fused zero-phase
 //! band-pass ([`lane_filtfilt_from_f64_in_ext`]) and the fused
 //! derivative → squaring → moving-window-integration energy kernel
-//! ([`lane_qrs_energy_into`]). Branchy phases (peak picking, adaptive
-//! thresholds/search-back, HRV/Lorenz/Burg) diverge per window after a
-//! handful of samples, so they run scalar per lane on
-//! [`deinterleave_into`] slices. The planned-rfft Welch stage stays
-//! scalar per lane too, deliberately: its input is the *EDR* series,
-//! whose length (and therefore `nperseg` and plan size) varies per
-//! window, so cross-window lanes would have to pad to a common length
-//! and change the spectra; at ~2 µs of an ~84 µs window it is not
-//! where the wall is.
+//! ([`lane_qrs_energy_lanes_into`]). Branchy phases (peak picking,
+//! adaptive thresholds/search-back, HRV/Lorenz/Burg) diverge per window
+//! after a handful of samples, so they run scalar per lane on the
+//! per-lane slices the energy sweep unpacks as it goes. At the paper's
+//! 3-min windows a lane group's SoA signal (8 lanes × 23 040 `f64`
+//! samples, 1.5 MB) outgrows the core's L2, so every kernel here makes
+//! as few passes over it as it can: the pack rides the forward filter
+//! pass and the unpack rides the energy pass. The planned-rfft Welch
+//! stage stays scalar per lane too, deliberately: its input is the *EDR*
+//! series, whose length (and therefore `nperseg` and plan size) varies
+//! per window, so cross-window lanes would have to pad to a common
+//! length and change the spectra; at ~2 µs of an ~84 µs window it is
+//! not where the wall is.
 
 // lint: allow-file(hot-index) — lane-kernel idiom: subscripts are lane/ring
 // offsets bounded by the `[T; L]` element type and entry-gate length asserts.
@@ -94,17 +98,35 @@ fn lane_chain_step<T: Scalar, const K: usize, const L: usize>(
     v
 }
 
-/// Forward lane sweep at a monomorphised section count.
-fn lane_chain_forward<T: Scalar, const K: usize, const L: usize>(
-    secs: &[SosSection<T>; K],
-    x: &mut [[T; L]],
-) {
-    let mut x1 = [T::ZERO; L];
-    let mut x2 = [T::ZERO; L];
-    let mut y1 = [[T::ZERO; L]; K];
-    let mut y2 = [[T::ZERO; L]; K];
-    for v in x.iter_mut() {
-        *v = lane_chain_step(secs, &mut x1, &mut x2, &mut y1, &mut y2, *v);
+/// The live state of a K-section lane chain (see [`lane_chain_step`]).
+struct LaneChain<T: Scalar, const K: usize, const L: usize> {
+    x1: [T; L],
+    x2: [T; L],
+    y1: [[T; L]; K],
+    y2: [[T; L]; K],
+}
+
+impl<T: Scalar, const K: usize, const L: usize> LaneChain<T, K, L> {
+    /// Zero initial state.
+    fn new() -> Self {
+        LaneChain {
+            x1: [T::ZERO; L],
+            x2: [T::ZERO; L],
+            y1: [[T::ZERO; L]; K],
+            y2: [[T::ZERO; L]; K],
+        }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, secs: &[SosSection<T>; K], xi: [T; L]) -> [T; L] {
+        lane_chain_step(
+            secs,
+            &mut self.x1,
+            &mut self.x2,
+            &mut self.y1,
+            &mut self.y2,
+            xi,
+        )
     }
 }
 
@@ -114,45 +136,71 @@ fn lane_chain_backward<T: Scalar, const K: usize, const L: usize>(
     secs: &[SosSection<T>; K],
     x: &mut [[T; L]],
 ) {
-    let mut x1 = [T::ZERO; L];
-    let mut x2 = [T::ZERO; L];
-    let mut y1 = [[T::ZERO; L]; K];
-    let mut y2 = [[T::ZERO; L]; K];
+    let mut chain = LaneChain::<T, K, L>::new();
     for v in x.iter_mut().rev() {
-        *v = lane_chain_step(secs, &mut x1, &mut x2, &mut y1, &mut y2, *v);
+        *v = chain.step(secs, *v);
+    }
+}
+
+/// Forward lane sweep fused with packing its input: the odd-reflection
+/// pad elements, then the windows' samples transposed into SoA one
+/// L1-resident block at a time (the blocked shape of [`append_lanes`],
+/// in reverse), then the tail pad — each element filtered as soon as it
+/// is packed and only the filtered value appended to `ext`. The
+/// unfiltered SoA signal never reaches memory.
+fn lane_chain_forward_packed<T: Scalar, const K: usize, const L: usize>(
+    secs: &[SosSection<T>; K],
+    windows: &[&[f64]; L],
+    pad: usize,
+    ext: &mut Vec<[T; L]>,
+) {
+    let n = windows[0].len();
+    let two = T::from_f64(2.0);
+    let first: [T; L] = std::array::from_fn(|l| T::from_f64(windows[l][0]));
+    let last: [T; L] = std::array::from_fn(|l| T::from_f64(windows[l][n - 1]));
+    let mut chain = LaneChain::<T, K, L>::new();
+    for i in (1..=pad).rev() {
+        let j = i.min(n - 1);
+        let xi = std::array::from_fn(|l| two * first[l] - T::from_f64(windows[l][j]));
+        ext.push(chain.step(secs, xi));
+    }
+    let mut block = [[T::ZERO; L]; UNPACK_BLOCK];
+    let mut start = 0;
+    while start < n {
+        let m = (n - start).min(UNPACK_BLOCK);
+        for (l, w) in windows.iter().enumerate() {
+            for (dst, &x) in block.iter_mut().zip(&w[start..start + m]) {
+                dst[l] = T::from_f64(x);
+            }
+        }
+        for &xi in &block[..m] {
+            ext.push(chain.step(secs, xi));
+        }
+        start += m;
+    }
+    for i in 1..=pad {
+        let idx = n.saturating_sub(1 + i.min(n - 1));
+        let xi = std::array::from_fn(|l| two * last[l] - T::from_f64(windows[l][idx]));
+        ext.push(chain.step(secs, xi));
     }
 }
 
 macro_rules! dispatch_lane_chain {
-    ($fn:ident, $secs:expr, $x:expr) => {
+    ($fn:ident, $secs:expr, $($arg:expr),+) => {
         match $secs.len() {
             0 => {}
-            1 => $fn::<T, 1, L>(crate::kernels::sos_array($secs), $x),
-            2 => $fn::<T, 2, L>(crate::kernels::sos_array($secs), $x),
-            3 => $fn::<T, 3, L>(crate::kernels::sos_array($secs), $x),
-            4 => $fn::<T, 4, L>(crate::kernels::sos_array($secs), $x),
-            5 => $fn::<T, 5, L>(crate::kernels::sos_array($secs), $x),
-            6 => $fn::<T, 6, L>(crate::kernels::sos_array($secs), $x),
-            7 => $fn::<T, 7, L>(crate::kernels::sos_array($secs), $x),
-            8 => $fn::<T, 8, L>(crate::kernels::sos_array($secs), $x),
+            1 => $fn::<T, 1, L>(crate::kernels::sos_array($secs), $($arg),+),
+            2 => $fn::<T, 2, L>(crate::kernels::sos_array($secs), $($arg),+),
+            3 => $fn::<T, 3, L>(crate::kernels::sos_array($secs), $($arg),+),
+            4 => $fn::<T, 4, L>(crate::kernels::sos_array($secs), $($arg),+),
+            5 => $fn::<T, 5, L>(crate::kernels::sos_array($secs), $($arg),+),
+            6 => $fn::<T, 6, L>(crate::kernels::sos_array($secs), $($arg),+),
+            7 => $fn::<T, 7, L>(crate::kernels::sos_array($secs), $($arg),+),
+            8 => $fn::<T, 8, L>(crate::kernels::sos_array($secs), $($arg),+),
             // lint: allow(hot-panic) — documented `# Panics` contract; longer cascades are a caller bug.
             n => panic!("sos chain supports at most {MAX_CHAIN_SECTIONS} sections, got {n}"),
         }
     };
-}
-
-/// Cascade-fused forward filtering of `L` lanes at once. Each lane is
-/// bit-identical to [`crate::kernels::sos_chain_in_place`] on that
-/// lane's signal alone.
-///
-/// # Panics
-///
-/// Panics when `secs.len() > MAX_CHAIN_SECTIONS`.
-pub fn lane_sos_chain_in_place<T: Scalar, const L: usize>(
-    secs: &[SosSection<T>],
-    x: &mut [[T; L]],
-) {
-    dispatch_lane_chain!(lane_chain_forward, secs, x)
 }
 
 /// Cascade-fused backward filtering of `L` lanes at once; per lane
@@ -170,10 +218,12 @@ pub fn lane_sos_chain_reverse_in_place<T: Scalar, const L: usize>(
 
 /// Lane-batched zero-phase forward–backward filtering of `L`
 /// same-length `f64` windows, narrowing to `T` while the odd-reflection
-/// padded SoA extension is built (the AoS→SoA pack and the precision
-/// narrowing are one pass). After the call the filtered samples live at
-/// `ext[pad..pad + n]` with `pad` returned, one `[T; L]` element per
-/// sample position.
+/// padded SoA extension is built. The AoS→SoA pack, the precision
+/// narrowing and the forward filter pass are one sweep over the
+/// windows: the packed signal goes straight into the recurrence, and
+/// only its filtered values are stored. After the call the filtered
+/// samples live at `ext[pad..pad + n]` with `pad` returned, one
+/// `[T; L]` element per sample position.
 ///
 /// Per lane this evaluates exactly the expressions of
 /// [`crate::kernels::filtfilt_fused_from_f64_in_ext`] — same padding
@@ -200,31 +250,10 @@ pub fn lane_filtfilt_from_f64_in_ext<T: Scalar, const L: usize>(
         ext.extend((0..n).map(|i| std::array::from_fn(|l| T::from_f64(windows[l][i]))));
         return 0;
     }
-    let two = T::from_f64(2.0);
     let pad = (6 * secs.len()).min(n - 1).max(1);
     ext.clear();
     ext.reserve(n + 2 * pad);
-    let first: [T; L] = std::array::from_fn(|l| T::from_f64(windows[l][0]));
-    for i in (1..=pad).rev() {
-        let j = i.min(n - 1);
-        ext.push(std::array::from_fn(|l| {
-            two * first[l] - T::from_f64(windows[l][j])
-        }));
-    }
-    // `i` walks all L inner slices in lock-step (clippy only sees the
-    // outer `windows` index).
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        ext.push(std::array::from_fn(|l| T::from_f64(windows[l][i])));
-    }
-    let last: [T; L] = std::array::from_fn(|l| T::from_f64(windows[l][n - 1]));
-    for i in 1..=pad {
-        let idx = n.saturating_sub(1 + i.min(n - 1));
-        ext.push(std::array::from_fn(|l| {
-            two * last[l] - T::from_f64(windows[l][idx])
-        }));
-    }
-    lane_sos_chain_in_place(secs, ext);
+    dispatch_lane_chain!(lane_chain_forward_packed, secs, windows, pad, ext);
     lane_sos_chain_reverse_in_place(secs, ext);
     pad
 }
@@ -236,22 +265,32 @@ pub fn lane_filtfilt_from_f64_in_ext<T: Scalar, const L: usize>(
 /// retire the outgoing one, divide by the effective window) is exactly
 /// [`crate::kernels::qrs_energy_into`]'s — bit-identical per lane.
 ///
+/// The same sweep unpacks the result for the branchy per-lane stages:
+/// each block of energy values is computed into an L1-resident SoA
+/// block and scattered into `mwi[lane]` right away, and the block of
+/// `filtered` it read goes to `filtered_lanes[lane]` — so neither the
+/// SoA energy signal nor a second pass over `filtered` ever touches
+/// memory. Every destination is cleared first.
+///
 /// # Panics
 ///
 /// Panics when `win == 0`.
-pub fn lane_qrs_energy_into<T: Scalar, const L: usize>(
+pub fn lane_qrs_energy_lanes_into<T: Scalar, const L: usize>(
     filtered: &[[T; L]],
     fs: f64,
     win: usize,
     ring: &mut Vec<[T; L]>,
-    out: &mut Vec<[T; L]>,
+    mwi: &mut [Vec<T>; L],
+    filtered_lanes: &mut [Vec<T>; L],
 ) {
     // lint: allow(hot-panic) — entry-gate contract check (once per call,
     // not per sample); a zero window is a caller bug.
     assert!(win >= 1, "integration window must be >= 1 sample");
     let n = filtered.len();
-    out.clear();
-    out.reserve(n);
+    for d in mwi.iter_mut().chain(filtered_lanes.iter_mut()) {
+        d.clear();
+        d.reserve(n);
+    }
     ring.clear();
     ring.resize(win, [T::ZERO; L]);
     let fs_t = T::from_f64(fs);
@@ -259,72 +298,74 @@ pub fn lane_qrs_energy_into<T: Scalar, const L: usize>(
     let eight = T::from_f64(8.0);
     let mut acc = [T::ZERO; L];
     let mut pos = 0usize;
-    let head = n.min(4);
     let x0 = filtered.first().copied().unwrap_or([T::ZERO; L]);
-    for i in 0..head {
-        let g = |j: isize| -> [T; L] {
-            if j < 0 {
-                x0
+    // The first four samples reach before the signal start: clamp to the
+    // first sample (and, for signals shorter than that, the last).
+    let head = |j: isize| -> [T; L] {
+        if j < 0 {
+            x0
+        } else {
+            filtered[(j as usize).min(n - 1)]
+        }
+    };
+    let mut block = [[T::ZERO; L]; UNPACK_BLOCK];
+    for (b, src) in filtered.chunks(UNPACK_BLOCK).enumerate() {
+        for (k, out) in block.iter_mut().take(src.len()).enumerate() {
+            let i = b * UNPACK_BLOCK + k;
+            let (a, b1, c, d4) = if i >= 4 {
+                (
+                    filtered[i],
+                    filtered[i - 1],
+                    filtered[i - 3],
+                    filtered[i - 4],
+                )
             } else {
-                filtered[(j as usize).min(n - 1)]
-            }
-        };
-        let i = i as isize;
-        let (a, b, c, d4) = (g(i), g(i - 1), g(i - 3), g(i - 4));
-        let mut sq = [T::ZERO; L];
-        let mut l = 0;
-        while l < L {
-            let d = (two * a[l] + b[l] - c[l] - two * d4[l]) * fs_t / eight;
-            sq[l] = d * d;
-            acc[l] += sq[l];
-            l += 1;
-        }
-        if i as usize >= win {
+                let i = i as isize;
+                (head(i), head(i - 1), head(i - 3), head(i - 4))
+            };
+            let mut sq = [T::ZERO; L];
             let mut l = 0;
             while l < L {
-                acc[l] -= ring[pos][l];
+                let d = (two * a[l] + b1[l] - c[l] - two * d4[l]) * fs_t / eight;
+                sq[l] = d * d;
+                acc[l] += sq[l];
                 l += 1;
             }
+            if i >= win {
+                let mut l = 0;
+                while l < L {
+                    acc[l] -= ring[pos][l];
+                    l += 1;
+                }
+            }
+            ring[pos] = sq;
+            pos += 1;
+            if pos == win {
+                pos = 0;
+            }
+            // lint: allow(float-det) — exact integer→float cast (effective <= win).
+            let effective = T::from_f64(((i + 1).min(win)) as f64);
+            *out = std::array::from_fn(|l| acc[l] / effective);
         }
-        ring[pos] = sq;
-        pos += 1;
-        if pos == win {
-            pos = 0;
-        }
-        // lint: allow(float-det) — exact integer→float cast (effective <= win).
-        let effective = T::from_f64(((i as usize + 1).min(win)) as f64);
-        out.push(std::array::from_fn(|l| acc[l] / effective));
+        append_lanes(&block[..src.len()], mwi);
+        append_lanes(src, filtered_lanes);
     }
-    for i in head.max(4)..n {
-        let (a, b, c, d4) = (
-            filtered[i],
-            filtered[i - 1],
-            filtered[i - 3],
-            filtered[i - 4],
-        );
-        let mut sq = [T::ZERO; L];
-        let mut l = 0;
-        while l < L {
-            let d = (two * a[l] + b[l] - c[l] - two * d4[l]) * fs_t / eight;
-            sq[l] = d * d;
-            acc[l] += sq[l];
-            l += 1;
+}
+
+/// Block length of the SoA→AoS unpacks: small enough that a block of
+/// `[T; L]` elements stays L1-resident while all `L` lanes gather from it.
+const UNPACK_BLOCK: usize = 128;
+
+/// Appends every lane of `src` to its destination buffer, one
+/// L1-resident block at a time: the SoA array crosses the cache
+/// hierarchy once while the inner loops keep the strided-gather shape
+/// the autovectorizer handles well (an element-wise scatter to `L`
+/// destinations measures ~1.7x slower at L = 4).
+fn append_lanes<T: Scalar, const L: usize>(src: &[[T; L]], dsts: &mut [Vec<T>; L]) {
+    for block in src.chunks(UNPACK_BLOCK) {
+        for (l, d) in dsts.iter_mut().enumerate() {
+            d.extend(block.iter().map(|v| v[l]));
         }
-        if i >= win {
-            let mut l = 0;
-            while l < L {
-                acc[l] -= ring[pos][l];
-                l += 1;
-            }
-        }
-        ring[pos] = sq;
-        pos += 1;
-        if pos == win {
-            pos = 0;
-        }
-        // lint: allow(float-det) — exact integer→float cast (effective <= win).
-        let effective = T::from_f64(((i + 1).min(win)) as f64);
-        out.push(std::array::from_fn(|l| acc[l] / effective));
     }
 }
 
@@ -342,31 +383,6 @@ pub fn deinterleave_into<T: Scalar, const L: usize>(src: &[[T; L]], lane: usize,
     dst.clear();
     dst.reserve(src.len());
     dst.extend(src.iter().map(|v| v[lane]));
-}
-
-/// SoA→AoS unpack of *every* lane in one sweep: reads each `[T; L]`
-/// element once and scatters it across the `L` destination buffers
-/// (each cleared first). Equivalent to `L` [`deinterleave_into`] calls
-/// but makes one pass over `src` instead of `L` strided re-reads — the
-/// branchy decision stages consume all lanes anyway, so the lane
-/// detector unpacks them together.
-pub fn deinterleave_lanes_into<T: Scalar, const L: usize>(src: &[[T; L]], dsts: &mut [Vec<T>; L]) {
-    let n = src.len();
-    for d in dsts.iter_mut() {
-        d.clear();
-        d.reserve(n);
-    }
-    // Blocked transpose: each block is small enough to stay L1-resident
-    // while all L lanes gather from it, so the SoA array crosses the
-    // cache hierarchy once while the inner loops keep the strided-gather
-    // shape the autovectorizer handles well (an element-wise scatter to
-    // L destinations measures ~1.7x slower at L = 4).
-    const BLOCK: usize = 128;
-    for block in src.chunks(BLOCK) {
-        for (l, d) in dsts.iter_mut().enumerate() {
-            d.extend(block.iter().map(|v| v[l]));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -441,21 +457,23 @@ mod tests {
 
     fn lane_energy_matches_scalar_bitwise<const L: usize>() {
         let fs = 128.0;
-        for n in [1usize, 4, 19, 640] {
+        for n in [1usize, 4, 19, 127, 128, 129, 640] {
             let sigs = signals(n, L, 0xBEEF ^ n as u64);
             let soa: Vec<[f64; L]> = (0..n)
                 .map(|i| std::array::from_fn(|l| sigs[l][i]))
                 .collect();
             for win in [1usize, 2, 19, 64] {
-                let (mut ring, mut mwi) = (Vec::new(), Vec::new());
-                lane_qrs_energy_into(&soa, fs, win, &mut ring, &mut mwi);
-                let mut lane_out = Vec::new();
+                let mut ring = Vec::new();
+                let mut mwi: [Vec<f64>; L] = std::array::from_fn(|_| vec![7.0]);
+                let mut unpacked: [Vec<f64>; L] = std::array::from_fn(|_| vec![7.0]);
+                lane_qrs_energy_lanes_into(&soa, fs, win, &mut ring, &mut mwi, &mut unpacked);
                 let (mut sring, mut smwi) = (Vec::new(), Vec::new());
                 for (l, sig) in sigs.iter().enumerate() {
-                    deinterleave_into(&mwi, l, &mut lane_out);
+                    // The filtered input comes back unpacked, lane by lane.
+                    assert_eq!(&unpacked[l], sig, "n {n} lane {l}");
                     qrs_energy_into(sig, fs, win, &mut sring, &mut smwi);
-                    assert_eq!(lane_out.len(), smwi.len());
-                    for (i, (a, b)) in lane_out.iter().zip(smwi.iter()).enumerate() {
+                    assert_eq!(mwi[l].len(), smwi.len());
+                    for (i, (a, b)) in mwi[l].iter().zip(smwi.iter()).enumerate() {
                         assert_eq!(
                             a.to_bits(),
                             b.to_bits(),
@@ -515,18 +533,17 @@ mod tests {
         let soa: Vec<[f64; 4]> = (0..257)
             .map(|_| std::array::from_fn(|_| xorshift(&mut seed)))
             .collect();
+        // The blocked unpack appends after whatever a lane already holds.
         let mut all: [Vec<f64>; 4] = std::array::from_fn(|_| vec![9.0; 3]);
-        deinterleave_lanes_into(&soa, &mut all);
+        append_lanes(&soa, &mut all);
         let mut one = Vec::new();
         for (l, got) in all.iter().enumerate() {
             deinterleave_into(&soa, l, &mut one);
-            assert_eq!(got.len(), one.len());
-            for (a, b) in got.iter().zip(one.iter()) {
+            assert_eq!(got[..3], [9.0; 3]);
+            assert_eq!(got.len(), 3 + one.len());
+            for (a, b) in got[3..].iter().zip(one.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        // Empty input clears stale contents.
-        deinterleave_lanes_into::<f64, 4>(&[], &mut all);
-        assert!(all.iter().all(Vec::is_empty));
     }
 }

@@ -139,7 +139,7 @@ pub struct DetectScratch {
 }
 
 /// Reusable work buffers for [`PanTompkins::detect_lanes_into`]: the
-/// SoA extension/ring/MWI of one lane group plus the per-lane scalar
+/// SoA extension/ring of one lane group plus the per-lane scalar
 /// slices and decision buffers the branchy stages run on. One scratch
 /// per `(T, L)` instantiation; self-contained (own band-pass cache), so
 /// lane callers need no [`DetectScratch`].
@@ -149,12 +149,11 @@ pub struct LaneDetectScratch<T: kernels::Scalar, const L: usize> {
     ext: Vec<[T; L]>,
     /// Integration-window SoA ring for the lane energy kernel.
     ring: Vec<[T; L]>,
-    /// SoA moving-window-integrated energy signal.
-    mwi: Vec<[T; L]>,
-    /// Per-lane MWI, deinterleaved (one pass, all lanes) for the scalar
-    /// decision stages.
+    /// Per-lane moving-window-integrated energy, unpacked by the energy
+    /// sweep itself for the scalar decision stages.
     lane_mwi: [Vec<T>; L],
-    /// Per-lane band-passed signal, deinterleaved for peak refinement.
+    /// Per-lane band-passed signal, unpacked in the same sweep for peak
+    /// refinement.
     lane_filtered: [Vec<T>; L],
     /// Packed peak candidates (see [`kernels::Scalar::Packed`]).
     peak_cand: Vec<T::Packed>,
@@ -171,7 +170,6 @@ impl<T: kernels::Scalar, const L: usize> Default for LaneDetectScratch<T, L> {
         LaneDetectScratch {
             ext: Vec::new(),
             ring: Vec::new(),
-            mwi: Vec::new(),
             lane_mwi: std::array::from_fn(|_| Vec::new()),
             lane_filtered: std::array::from_fn(|_| Vec::new()),
             peak_cand: Vec::new(),
@@ -399,15 +397,14 @@ impl PanTompkins {
         }
         let pad =
             lanes::lane_filtfilt_from_f64_in_ext(&secs[..bp.len()], windows, &mut scratch.ext);
-        lanes::lane_qrs_energy_into(
+        lanes::lane_qrs_energy_lanes_into(
             &scratch.ext[pad..pad + n],
             fs,
             win,
             &mut scratch.ring,
-            &mut scratch.mwi,
+            &mut scratch.lane_mwi,
+            &mut scratch.lane_filtered,
         );
-        lanes::deinterleave_lanes_into(&scratch.mwi, &mut scratch.lane_mwi);
-        lanes::deinterleave_lanes_into(&scratch.ext[pad..pad + n], &mut scratch.lane_filtered);
         for (lane, out) in outs.iter_mut().enumerate() {
             local_maxima_into(
                 &scratch.lane_mwi[lane],
@@ -704,6 +701,16 @@ fn local_maxima(x: &[f64], min_dist: usize) -> Vec<usize> {
 ///   order is exactly the reference's descending-`total_cmp` /
 ///   ascending-index stable sort — the sort compares registers instead of
 ///   re-reading `x` per comparison (one register per candidate at `f32`).
+/// - **Roots first.** A candidate better than every other candidate
+///   within `min_dist` cannot be suppressed, so the greedy keeps it, and
+///   every candidate within `min_dist` of it is suppressed by it and,
+///   never kept, suppresses nothing. Each of up to [`ROOT_ROUNDS`] linear
+///   rounds keeps the roots among the remaining candidates (found on the
+///   bucket grid: best of its bucket and better than both neighbouring
+///   buckets' best) and drops their neighbours. What is left competes
+///   only within itself, in the greedy's order, so only it is sorted —
+///   a 3-min window's ~2 000 candidates made the full sort the
+///   detector's costliest step.
 ///
 /// The bucket grid then enforces the distance constraint: any already
 /// kept peak within `min_dist` of candidate `c` lies in bucket
@@ -748,25 +755,69 @@ fn local_maxima_into<T: kernels::Scalar>(
         }
         i += 1;
     }
-    cand.sort_unstable();
-    let nb = n / min_dist + 2;
+    // Bucket grids are offset by one (candidate `c` lives in bucket
+    // `c / min_dist + 1`) so both neighbours of every bucket exist.
+    let nb = n / min_dist + 3;
+    let bucket = |c: usize| c / min_dist + 1;
+    // An empty bucket holds `usize::MAX`, which is never within
+    // `min_dist` of a candidate, so the test needs no emptiness branch.
+    let suppressed = |grid: &[usize], c: usize| {
+        let b = bucket(c);
+        let d = c
+            .abs_diff(grid[b - 1])
+            .min(c.abs_diff(grid[b]))
+            .min(c.abs_diff(grid[b + 1]));
+        d < min_dist
+    };
+    // `buckets` is the kept-peak grid; `kept` holds each bucket's best
+    // remaining candidate (an index into `cand`) during the root rounds.
     buckets.clear();
     buckets.resize(nb, usize::MAX);
-    'outer: for &p in cand.iter() {
-        let c = T::unpack_index(p);
-        let b = c / min_dist;
-        let lo = b.saturating_sub(1);
-        let hi = (b + 1).min(nb - 1);
-        for &k in &buckets[lo..=hi] {
-            if k != usize::MAX && c.abs_diff(k) < min_dist {
-                continue 'outer;
+    for _ in 0..ROOT_ROUNDS {
+        if cand.is_empty() {
+            break;
+        }
+        kept.clear();
+        kept.resize(nb, usize::MAX);
+        for (j, &p) in cand.iter().enumerate() {
+            let b = bucket(T::unpack_index(p));
+            let better = kept[b] == usize::MAX || p < cand[kept[b]];
+            kept[b] = if better { j } else { kept[b] };
+        }
+        let beats = |j: usize, k: usize| k == usize::MAX || cand[j] < cand[k];
+        for b in 1..nb - 1 {
+            let j = kept[b];
+            if j != usize::MAX && beats(j, kept[b - 1]) && beats(j, kept[b + 1]) {
+                buckets[b] = T::unpack_index(cand[j]);
             }
         }
-        buckets[b] = c;
-        kept.push(c);
+        // Branch-free in-place compaction of the unresolved candidates.
+        let mut left = 0;
+        for r in 0..cand.len() {
+            let p = cand[r];
+            cand[left] = p;
+            left += usize::from(!suppressed(buckets, T::unpack_index(p)));
+        }
+        cand.truncate(left);
     }
-    kept.sort_unstable();
+    cand.sort_unstable();
+    for &p in cand.iter() {
+        let c = T::unpack_index(p);
+        if !suppressed(buckets, c) {
+            buckets[bucket(c)] = c;
+        }
+    }
+    // Each bucket holds at most one kept peak, so the grid read in bucket
+    // order lists the kept peaks in ascending index order.
+    kept.clear();
+    kept.extend(buckets.iter().copied().filter(|&k| k != usize::MAX));
 }
+
+/// Root rounds of [`local_maxima_into`] before the leftover candidates
+/// are sorted. Real ECG needs few (each round resolves the best of what
+/// is left); the cap bounds the linear passes on adversarial inputs,
+/// such as a ramp, where every round resolves only a handful.
+const ROOT_ROUNDS: usize = 6;
 
 /// Quadratic greedy reference for [`local_maxima_into`]: every candidate
 /// is checked against every kept peak. Retained for
@@ -993,11 +1044,28 @@ mod tests {
         let mut kept_ref = Vec::new();
         for seed in [1u64, 42, 9_000_001] {
             for n in [3usize, 10, 257, 2048] {
-                let x = xorshift_stream(seed, n);
-                for min_dist in [1usize, 2, 5, 26, 100, 3000] {
-                    local_maxima_into(&x, min_dist, &mut cand, &mut kept, &mut buckets);
-                    local_maxima_into_reference(&x, min_dist, &mut cand_ref, &mut kept_ref);
-                    assert_eq!(kept, kept_ref, "seed {seed} n {n} min_dist {min_dist}");
+                let noise = xorshift_stream(seed, n);
+                // Values on a coarse grid (equal-valued candidates must
+                // resolve by index), and a ramp under the noise (long
+                // chains of ever-better neighbours, few roots).
+                let coarse: Vec<f64> = noise.iter().map(|v| (v * 8.0).floor()).collect();
+                let ramp: Vec<f64> = noise
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| i as f64 * 0.01 + 0.5 * v)
+                    .collect();
+                for x in [&noise, &coarse, &ramp] {
+                    for min_dist in [1usize, 2, 5, 26, 100, 3000] {
+                        local_maxima_into(
+                            x.as_slice(),
+                            min_dist,
+                            &mut cand,
+                            &mut kept,
+                            &mut buckets,
+                        );
+                        local_maxima_into_reference(x, min_dist, &mut cand_ref, &mut kept_ref);
+                        assert_eq!(kept, kept_ref, "seed {seed} n {n} min_dist {min_dist}");
+                    }
                 }
             }
         }

@@ -75,9 +75,31 @@ pub fn resample_uniform(t: &[f64], y: &[f64], fs: f64) -> Result<Vec<f64>, DspEr
     let span = t[t.len() - 1] - t[0];
     let n = (span * fs).floor() as usize + 1;
     let mut out = Vec::with_capacity(n);
+    let last = t.len() - 1;
+    // The grid only moves forward, so the bracketing interval that
+    // `interp_linear` binary-searches per point is tracked by a cursor
+    // instead: the same interval and the same arithmetic, in O(n + len).
+    let mut idx = 0;
     for i in 0..n {
         let x = t[0] + i as f64 / fs;
-        out.push(interp_linear(t, y, x)?);
+        let v = if x <= t[0] {
+            y[0]
+        } else if x >= t[last] {
+            y[last]
+        } else {
+            // `idx` becomes the partition point of `t < x`.
+            while t[idx] < x {
+                idx += 1;
+            }
+            let (x0, x1) = (t[idx - 1], t[idx]);
+            let (y0, y1) = (y[idx - 1], y[idx]);
+            if x1 == x0 {
+                y0
+            } else {
+                y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            }
+        };
+        out.push(v);
     }
     Ok(out)
 }
@@ -105,6 +127,33 @@ pub fn decimate(x: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn uniform_resampling_matches_pointwise_interpolation_bitwise() {
+        // Uneven, strictly increasing stamps (a jittered tachogram) on
+        // a grid that starts, ends and lands exactly on stamps.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut t = vec![0.0];
+        for _ in 0..300 {
+            let step = 0.25 + next();
+            t.push(t[t.len() - 1] + step);
+        }
+        t.push(t[t.len() - 1] + 0.25); // lands on the 4 Hz grid
+        let y: Vec<f64> = t.iter().map(|&x| (0.7 * x).sin() + next()).collect();
+        for fs in [4.0, 3.3, 128.0] {
+            let got = resample_uniform(&t, &y, fs).unwrap();
+            for (i, v) in got.iter().enumerate() {
+                let want = interp_linear(&t, &y, t[0] + i as f64 / fs).unwrap();
+                assert_eq!(v.to_bits(), want.to_bits(), "fs {fs} sample {i}");
+            }
+        }
+    }
 
     #[test]
     fn interp_hits_knots_and_midpoints() {

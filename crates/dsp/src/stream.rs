@@ -1,142 +1,73 @@
-//! Streaming substrate: a sample ring buffer and a sliding-window
-//! scheduler.
+//! Streaming substrate: single-copy window assembly.
 //!
-//! Together they turn an arbitrary sequence of sample chunks (one sample
-//! per callback, a second of samples per radio packet, a whole session at
-//! once — the producer decides) into a deterministic sequence of
-//! fixed-length analysis windows. Windows are addressed in *absolute
+//! [`WindowAssembler`] turns an arbitrary sequence of sample chunks (one
+//! sample per callback, a second of samples per radio packet, a whole
+//! session at once — the producer decides) into a deterministic sequence
+//! of fixed-length analysis windows. Windows are addressed in *absolute
 //! sample coordinates*: window `i` covers samples
 //! `[i·stride, i·stride + window_len)` of the stream, independent of how
 //! the samples were chunked on the way in. That chunking-invariance is
 //! what makes a streaming pipeline bit-identical to its batch twin, and
 //! the tests here sweep random chunk splits to pin it.
+//!
+//! Each sample is copied once, straight from the pushed chunk into the
+//! buffer of every window that covers it — once in total under the
+//! paper's non-overlapping protocol (`stride == window_len`). A completed
+//! window leaves the assembler by value: its buffer *moves* to the
+//! extractor, which reads it in place, and comes back through
+//! [`WindowAssembler::recycle`] for a later window. There is no ring to
+//! push through and no window to copy back out of one.
 
 use crate::error::DspError;
+use std::collections::VecDeque;
 
-/// Fixed-capacity ring over the most recent samples of a stream.
-///
-/// Pushing never fails; older samples are overwritten. Reads address the
-/// stream by absolute sample index and fail (rather than alias) when the
-/// requested span has already been overwritten.
+/// Recycled window buffers an assembler keeps at most. A solo stream
+/// drains completed windows in lane groups of up to 8, so 8 spares keep
+/// a steady stream of large pushes allocation-free; a fleet session
+/// rarely holds more than one or two completed windows at a time.
+const MAX_SPARE_WINDOWS: usize = 8;
+
+/// One complete analysis window: its place in the stream and its
+/// samples, in the buffer the assembler filled directly from the pushed
+/// chunks.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SampleRing {
-    buf: Vec<f64>,
-    /// Total samples ever pushed (absolute stream position).
-    total: u64,
-}
-
-impl SampleRing {
-    /// Ring retaining the last `capacity` samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] when `capacity == 0`.
-    pub fn new(capacity: usize) -> Result<Self, DspError> {
-        if capacity == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "capacity",
-                reason: "must be >= 1",
-            });
-        }
-        Ok(SampleRing {
-            buf: vec![0.0; capacity],
-            total: 0,
-        })
-    }
-
-    /// Retained-sample capacity.
-    pub fn capacity(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Total samples pushed since creation (absolute stream length).
-    pub fn total_pushed(&self) -> u64 {
-        self.total
-    }
-
-    /// Absolute index of the oldest sample still retained.
-    pub fn oldest_retained(&self) -> u64 {
-        self.total.saturating_sub(self.buf.len() as u64)
-    }
-
-    /// Appends a chunk of any length, overwriting the oldest samples.
-    /// Chunks longer than the capacity retain only their tail (their
-    /// earlier samples are past data the ring could never have held).
-    pub fn push(&mut self, chunk: &[f64]) {
-        let cap = self.buf.len();
-        let skip = chunk.len().saturating_sub(cap);
-        let mut pos = ((self.total + skip as u64) % cap as u64) as usize;
-        let mut rest = &chunk[skip..];
-        while !rest.is_empty() {
-            let n = (cap - pos).min(rest.len());
-            self.buf[pos..pos + n].copy_from_slice(&rest[..n]);
-            pos = (pos + n) % cap;
-            rest = &rest[n..];
-        }
-        self.total += chunk.len() as u64;
-    }
-
-    /// Copies `out.len()` samples starting at absolute stream index
-    /// `start` into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] when the span reaches past
-    /// the stream head or has already been overwritten.
-    pub fn copy_into(&self, start: u64, out: &mut [f64]) -> Result<(), DspError> {
-        let len = out.len() as u64;
-        if start + len > self.total {
-            return Err(DspError::InvalidParameter {
-                name: "start",
-                reason: "span reaches past the samples pushed so far",
-            });
-        }
-        if start < self.oldest_retained() {
-            return Err(DspError::InvalidParameter {
-                name: "start",
-                reason: "span has been overwritten (ring too small)",
-            });
-        }
-        let cap = self.buf.len();
-        let mut pos = (start % cap as u64) as usize;
-        let mut written = 0usize;
-        while written < out.len() {
-            let n = (cap - pos).min(out.len() - written);
-            out[written..written + n].copy_from_slice(&self.buf[pos..pos + n]);
-            written += n;
-            pos = (pos + n) % cap;
-        }
-        Ok(())
-    }
-}
-
-/// One complete analysis window in absolute stream coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowSpan {
+pub struct AssembledWindow {
     /// Window index (0-based).
     pub index: u64,
     /// Absolute index of the window's first sample (`index × stride`).
     pub start: u64,
-    /// Window length in samples.
-    pub len: usize,
+    /// The window's `window_len` samples.
+    pub samples: Vec<f64>,
 }
 
-/// Chunk-fed sliding-window scheduler.
+/// Chunk-fed sliding-window assembler.
 ///
-/// Feed it sample *counts* as they arrive; it reports which windows became
-/// complete, by index. Window `i` spans
+/// Feed it chunks as they arrive; every window a chunk completes comes
+/// out whole, in window order. Window `i` spans
 /// `[i·stride, i·stride + window_len)` regardless of chunking, so any two
-/// chunkings of the same stream yield the same window sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowScheduler {
+/// chunkings of the same stream yield the same windows, sample for
+/// sample. Samples that no window covers (`stride > window_len`) are
+/// skipped without a copy.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowAssembler {
     window_len: usize,
     stride: usize,
-    seen: u64,
-    emitted: u64,
+    /// Samples pushed so far (the absolute stream position).
+    fed: u64,
+    /// Windows opened so far — the index of the next window to open.
+    opened: u64,
+    /// Windows being filled, oldest first (at most
+    /// `⌈window_len / stride⌉`). Every open window receives the same
+    /// samples, so the oldest is always the fullest.
+    open: VecDeque<AssembledWindow>,
+    /// Buffers of extracted windows, reused by later windows.
+    spare: Vec<Vec<f64>>,
+    /// Samples copied into window buffers so far.
+    copied: u64,
 }
 
-impl WindowScheduler {
-    /// Scheduler for `window_len`-sample windows every `stride` samples
+impl WindowAssembler {
+    /// Assembler for `window_len`-sample windows every `stride` samples
     /// (`stride == window_len` gives the paper's non-overlapping
     /// protocol).
     ///
@@ -156,65 +87,87 @@ impl WindowScheduler {
                 reason: "must be >= 1",
             });
         }
-        Ok(WindowScheduler {
+        Ok(WindowAssembler {
             window_len,
             stride,
-            seen: 0,
-            emitted: 0,
+            fed: 0,
+            opened: 0,
+            open: VecDeque::new(),
+            spare: Vec::new(),
+            copied: 0,
         })
     }
 
-    /// Window length in samples.
-    pub fn window_len(&self) -> usize {
-        self.window_len
+    /// Total samples copied into window buffers so far: one copy per
+    /// sample and covering window — exactly the samples fed, up to the
+    /// last window's end, under non-overlapping windows.
+    pub fn samples_copied(&self) -> u64 {
+        self.copied
     }
 
-    /// Stride between window starts in samples.
-    pub fn stride(&self) -> usize {
-        self.stride
+    /// Appends a chunk of any length and moves every window it completes
+    /// onto `done`, in window order. Returns how many it completed.
+    pub fn push_into(&mut self, chunk: &[f64], done: &mut Vec<AssembledWindow>) -> usize {
+        let before = done.len();
+        let stride = self.stride as u64;
+        let mut rest = chunk;
+        while !rest.is_empty() {
+            let next_start = self.opened * stride;
+            if self.fed == next_start {
+                let samples = self.spare_buffer();
+                self.open.push_back(AssembledWindow {
+                    index: self.opened,
+                    start: next_start,
+                    samples,
+                });
+                self.opened += 1;
+                continue;
+            }
+            // Copy up to the next event: a window opening, or the oldest
+            // open window filling up. `fed < next_start` here, and an
+            // open window is never full, so every step makes progress.
+            let mut n = usize::try_from(next_start - self.fed)
+                .unwrap_or(usize::MAX)
+                .min(rest.len());
+            if let Some(oldest) = self.open.front() {
+                n = n.min(self.window_len - oldest.samples.len());
+            }
+            let (head, tail) = rest.split_at(n);
+            for w in &mut self.open {
+                w.samples.extend_from_slice(head);
+            }
+            self.copied += (n * self.open.len()) as u64;
+            self.fed += n as u64;
+            rest = tail;
+            if self
+                .open
+                .front()
+                .is_some_and(|w| w.samples.len() == self.window_len)
+            {
+                done.extend(self.open.pop_front());
+            }
+        }
+        done.len() - before
     }
 
-    /// Total samples accounted so far.
-    pub fn samples_seen(&self) -> u64 {
-        self.seen
+    /// Hands an extracted window's buffer back for a later window to
+    /// fill (kept up to a small cap; the rest are freed).
+    pub fn recycle(&mut self, samples: Vec<f64>) {
+        if self.spare.len() < MAX_SPARE_WINDOWS {
+            self.spare.push(samples);
+        }
     }
 
-    /// Windows emitted so far.
-    pub fn windows_emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Smallest [`SampleRing`] capacity that guarantees every window is
-    /// still retained when the driver drains after each `≤ stride`-sample
-    /// push (the contract [`WindowScheduler::on_samples`] documents).
-    pub fn min_ring_capacity(&self) -> usize {
-        self.window_len + self.stride
-    }
-
-    /// Accounts `n` new samples and returns the indices of windows that
-    /// just became complete (often empty, more than one after a large
-    /// chunk). Drivers that bound their ring by
-    /// [`WindowScheduler::min_ring_capacity`] must feed chunks of at most
-    /// `stride` samples between drains; [`WindowScheduler::span`] converts
-    /// an index to sample coordinates.
-    pub fn on_samples(&mut self, n: usize) -> std::ops::Range<u64> {
-        self.seen += n as u64;
-        let complete = if self.seen >= self.window_len as u64 {
-            (self.seen - self.window_len as u64) / self.stride as u64 + 1
-        } else {
-            0
-        };
-        let fresh = self.emitted..complete;
-        self.emitted = complete;
-        fresh
-    }
-
-    /// Sample coordinates of window `index`.
-    pub fn span(&self, index: u64) -> WindowSpan {
-        WindowSpan {
-            index,
-            start: index * self.stride as u64,
-            len: self.window_len,
+    /// An empty buffer with room for one window: a recycled one when
+    /// available, so steady streaming allocates nothing.
+    fn spare_buffer(&mut self) -> Vec<f64> {
+        match self.spare.pop() {
+            Some(mut samples) => {
+                samples.clear();
+                samples.reserve_exact(self.window_len);
+                samples
+            }
+            None => Vec::with_capacity(self.window_len),
         }
     }
 }
@@ -237,69 +190,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_retains_the_stream_tail() {
-        let mut ring = SampleRing::new(8).unwrap();
-        assert_eq!(ring.capacity(), 8);
-        ring.push(&[1.0, 2.0, 3.0]);
-        assert_eq!(ring.total_pushed(), 3);
-        assert_eq!(ring.oldest_retained(), 0);
-        let mut out = [0.0; 3];
-        ring.copy_into(0, &mut out).unwrap();
-        assert_eq!(out, [1.0, 2.0, 3.0]);
-        // Push past capacity: oldest samples fall off.
-        ring.push(&[4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
-        assert_eq!(ring.total_pushed(), 10);
-        assert_eq!(ring.oldest_retained(), 2);
-        let mut tail = [0.0; 8];
-        ring.copy_into(2, &mut tail).unwrap();
-        assert_eq!(tail, [3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]);
-        // Overwritten and not-yet-pushed spans are rejected.
-        assert!(ring.copy_into(1, &mut tail).is_err());
-        assert!(ring.copy_into(9, &mut [0.0; 2]).is_err());
-    }
-
-    #[test]
-    fn oversized_chunk_keeps_only_its_tail() {
-        let mut ring = SampleRing::new(4).unwrap();
-        let big: Vec<f64> = (0..11).map(f64::from).collect();
-        ring.push(&big);
-        assert_eq!(ring.total_pushed(), 11);
-        let mut out = [0.0; 4];
-        ring.copy_into(7, &mut out).unwrap();
-        assert_eq!(out, [7.0, 8.0, 9.0, 10.0]);
+    fn push_all(a: &mut WindowAssembler, chunk: &[f64]) -> Vec<AssembledWindow> {
+        let mut done = Vec::new();
+        assert_eq!(a.push_into(chunk, &mut done), done.len());
+        done
     }
 
     #[test]
     fn invalid_parameters_rejected() {
-        assert!(SampleRing::new(0).is_err());
-        assert!(WindowScheduler::new(0, 1).is_err());
-        assert!(WindowScheduler::new(1, 0).is_err());
+        assert!(WindowAssembler::new(0, 1).is_err());
+        assert!(WindowAssembler::new(1, 0).is_err());
+        assert!(WindowAssembler::new(4, 2).is_ok());
     }
 
     #[test]
     fn scheduler_emits_expected_boundaries() {
-        let mut s = WindowScheduler::new(4, 2).unwrap();
-        assert_eq!(s.on_samples(3), 0..0); // 3 < window
-        assert_eq!(s.on_samples(1), 0..1); // window 0 at [0, 4)
-        assert_eq!(s.on_samples(4), 1..3); // windows 1 [2,6) and 2 [4,8)
-        assert_eq!(
-            s.span(2),
-            WindowSpan {
-                index: 2,
-                start: 4,
-                len: 4
-            }
-        );
-        assert_eq!(s.windows_emitted(), 3);
-        assert_eq!(s.samples_seen(), 8);
-        assert_eq!(s.min_ring_capacity(), 6);
+        let mut a = WindowAssembler::new(4, 2).unwrap();
+        let signal: Vec<f64> = (0..8).map(f64::from).collect();
+        assert!(push_all(&mut a, &signal[..3]).is_empty()); // 3 < window
+        let w0 = push_all(&mut a, &signal[3..4]); // window 0 at [0, 4)
+        assert_eq!(w0.len(), 1);
+        assert_eq!((w0[0].index, w0[0].start), (0, 0));
+        assert_eq!(w0[0].samples, [0.0, 1.0, 2.0, 3.0]);
+        let w12 = push_all(&mut a, &signal[4..]); // windows 1 [2,6) and 2 [4,8)
+        let spans: Vec<(u64, u64)> = w12.iter().map(|w| (w.index, w.start)).collect();
+        assert_eq!(spans, [(1, 2), (2, 4)]);
+        assert_eq!(w12[0].samples, [2.0, 3.0, 4.0, 5.0]);
+        assert_eq!(w12[1].samples, [4.0, 5.0, 6.0, 7.0]);
     }
 
-    /// Satellite requirement: a deterministic xorshift sweep over chunk
-    /// sizes (1 sample up to multiple windows) must produce identical
-    /// window boundaries regardless of chunking, and the ring must hand
-    /// back exactly the underlying signal for every window.
+    #[test]
+    fn non_overlapping_windows_copy_each_sample_once() {
+        let window = 32;
+        let mut a = WindowAssembler::new(window, window).unwrap();
+        let signal: Vec<f64> = (0..10 * window + 7).map(|i| i as f64).collect();
+        let mut rng = XorShift(0xC0FFEE);
+        let mut fed = 0;
+        let mut windows = 0;
+        while fed < signal.len() {
+            let n = (1 + rng.next() as usize % (3 * window)).min(signal.len() - fed);
+            for w in push_all(&mut a, &signal[fed..fed + n]) {
+                windows += 1;
+                a.recycle(w.samples);
+            }
+            fed += n;
+        }
+        assert_eq!(windows, 10);
+        // Every sample fed was copied exactly once — including the 7
+        // already sitting in the open eleventh window.
+        assert_eq!(a.samples_copied(), signal.len() as u64);
+    }
+
+    #[test]
+    fn gaps_between_windows_are_skipped_without_a_copy() {
+        let mut a = WindowAssembler::new(3, 5).unwrap();
+        let signal: Vec<f64> = (0..13).map(f64::from).collect();
+        let done = push_all(&mut a, &signal);
+        let got: Vec<&[f64]> = done.iter().map(|w| w.samples.as_slice()).collect();
+        assert_eq!(
+            got,
+            [&[0.0, 1.0, 2.0][..], &[5.0, 6.0, 7.0], &[10.0, 11.0, 12.0]]
+        );
+        assert_eq!(a.samples_copied(), 9);
+    }
+
+    /// A deterministic xorshift sweep over chunk sizes (1 sample up to
+    /// multiple windows) must produce identical windows regardless of
+    /// chunking, each holding exactly the underlying signal — with
+    /// recycled buffers in play.
     #[test]
     fn chunking_never_changes_window_boundaries_or_contents() {
         let window = 64;
@@ -308,36 +266,26 @@ mod tests {
         let signal: Vec<f64> = (0..total).map(|i| (i as f64 * 0.37).sin()).collect();
 
         // Reference: everything in one push.
-        let mut reference = Vec::new();
-        let mut s = WindowScheduler::new(window, stride).unwrap();
-        for idx in s.on_samples(total) {
-            reference.push(s.span(idx));
-        }
-        assert!(reference.len() > 10);
+        let reference: Vec<(u64, u64)> =
+            push_all(&mut WindowAssembler::new(window, stride).unwrap(), &signal)
+                .iter()
+                .map(|w| (w.index, w.start))
+                .collect();
+        assert_eq!(reference.len(), (total - window) / stride + 1);
 
         let mut rng = XorShift(0x5EED_CAFE);
         for _round in 0..20 {
-            let mut sched = WindowScheduler::new(window, stride).unwrap();
-            let mut ring = SampleRing::new(sched.min_ring_capacity()).unwrap();
+            let mut a = WindowAssembler::new(window, stride).unwrap();
             let mut spans = Vec::new();
-            let mut scratch = vec![0.0; window];
             let mut fed = 0usize;
             while fed < total {
                 // Chunk sizes from 1 sample to ~3 windows.
-                let chunk = 1 + (rng.next() as usize) % (3 * window);
-                let chunk = chunk.min(total - fed);
-                let samples = &signal[fed..fed + chunk];
-                // Respect the ring bound: sub-feed at most `stride` at a
-                // time, draining complete windows after each sub-feed.
-                for sub in samples.chunks(stride) {
-                    ring.push(sub);
-                    for idx in sched.on_samples(sub.len()) {
-                        let span = sched.span(idx);
-                        ring.copy_into(span.start, &mut scratch).unwrap();
-                        let lo = span.start as usize;
-                        assert_eq!(scratch, signal[lo..lo + span.len], "window {idx}");
-                        spans.push(span);
-                    }
+                let chunk = (1 + (rng.next() as usize) % (3 * window)).min(total - fed);
+                for w in push_all(&mut a, &signal[fed..fed + chunk]) {
+                    let lo = w.start as usize;
+                    assert_eq!(w.samples, signal[lo..lo + window], "window {}", w.index);
+                    spans.push((w.index, w.start));
+                    a.recycle(w.samples);
                 }
                 fed += chunk;
             }

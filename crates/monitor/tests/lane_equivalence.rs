@@ -12,10 +12,10 @@
 //!   size, including tails with `n % L != 0` that fall through 8 → 4 →
 //!   2 → scalar, with drop decisions (`FeatureError`) equal too;
 //! * **fleet lane packing is invisible** — a fleet multiplexing mixed
-//!   patients through large interleaved chunks (so the deferred extract
-//!   stage really packs lane groups per session) stays bit-identical to
-//!   solo streaming, at both precisions and across flush executor
-//!   counts.
+//!   patients through large interleaved chunks (multi-window backlogs per
+//!   session) or staggered 1-s chunks (lane groups that span patients)
+//!   stays bit-identical to solo streaming, at both precisions and
+//!   across flush executor counts.
 
 use epilepsy_monitor::dsp::qrs::{DetectScratch, LaneDetectScratch, PanTompkins, QrsDetection};
 use epilepsy_monitor::features::extract::{BatchExtractScratch, ExtractScratch, WindowExtractor};
@@ -229,6 +229,102 @@ fn fleet_lane_packing_is_bit_identical_to_solo_streaming() {
                     );
                     assert_eq!(a.is_seizure, b.is_seizure);
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn fleet_wide_lane_groups_span_patients_bit_identically() {
+    // Twelve patients streaming 1-s chunks round-robin, each starting a
+    // different fraction of a window into its session, so windows
+    // complete at staggered times and every flush extracts windows of
+    // several patients in one lane group (and ragged 4/2/1 tails) — the
+    // serving shape where no single session ever holds a full group.
+    let spec = spec();
+    let fs = spec.scale.fs();
+    let cfg = StreamConfig::non_overlapping(fs, spec.scale.window_s()).expect("stream config");
+    let sessions: Vec<Vec<f64>> = spec.sessions.iter().map(|s| s.synthesize().ecg).collect();
+    let patients = 12usize;
+    let streams: Vec<&[f64]> = (0..patients)
+        .map(|p| {
+            let ecg = &sessions[p % sessions.len()];
+            &ecg[p * cfg.window_len / patients..]
+        })
+        .collect();
+    let engine: SharedEngine = Arc::new(pipeline().clone());
+    let chunk = fs as usize;
+    let reference: Vec<Vec<WindowDecision>> = streams
+        .iter()
+        .map(|samples| {
+            let mut solo = StreamingSession::new(Arc::clone(&engine), cfg).expect("session");
+            samples
+                .chunks(chunk)
+                .flat_map(|c| solo.push_samples(c))
+                .collect()
+        })
+        .collect();
+    assert!(
+        reference.iter().all(|r| r.len() >= 2),
+        "every patient completes windows"
+    );
+    // A flush every third of a window: each one meets about four
+    // patients' completed windows.
+    let rounds_per_flush = cfg.window_len / chunk / 3;
+    for workers in [Some(1), Some(2), Some(4), None] {
+        let mut fleet = FleetScheduler::new(
+            Arc::clone(&engine),
+            FleetConfig {
+                workers,
+                ..FleetConfig::unbounded(cfg)
+            },
+        )
+        .expect("fleet config");
+        for p in 0..patients as u64 {
+            fleet.admit(p).expect("admit");
+        }
+        let mut decisions: Vec<Vec<WindowDecision>> = vec![Vec::new(); patients];
+        let mut widest_flush = 0usize;
+        let longest = streams.iter().map(|s| s.len()).max().unwrap_or(0);
+        let mut round = 0usize;
+        while round * chunk < longest {
+            for (p, samples) in streams.iter().enumerate() {
+                if let Some(c) = samples.chunks(chunk).nth(round) {
+                    fleet.ingest(p as u64, c).expect("ingest");
+                }
+            }
+            round += 1;
+            if round.is_multiple_of(rounds_per_flush) || round * chunk >= longest {
+                let flush = fleet.flush();
+                let mut owners: Vec<u64> = flush.decisions.iter().map(|d| d.patient).collect();
+                owners.dedup();
+                widest_flush = widest_flush.max(owners.len());
+                for d in flush.decisions {
+                    decisions[d.patient as usize].push(d.decision);
+                }
+            }
+        }
+        assert!(
+            widest_flush >= 3,
+            "flushes must mix patients ({widest_flush})"
+        );
+        for (p, want) in reference.iter().enumerate() {
+            assert_eq!(
+                decisions[p].len(),
+                want.len(),
+                "workers {workers:?} patient {p}"
+            );
+            for (a, b) in decisions[p].iter().zip(want.iter()) {
+                assert_eq!(
+                    (a.window_index, a.start_sample),
+                    (b.window_index, b.start_sample)
+                );
+                assert_eq!(
+                    a.decision.map(f64::to_bits),
+                    b.decision.map(f64::to_bits),
+                    "workers {workers:?}: patient {p} window {} must be bit-identical",
+                    a.window_index
+                );
             }
         }
     }

@@ -46,6 +46,7 @@ const HOT_MODULES: &[&str] = &[
     "crates/dsp/src/lanes.rs",
     "crates/dsp/src/qrs.rs",
     "crates/dsp/src/filter.rs",
+    "crates/dsp/src/stream.rs",
     "crates/core/src/fleet.rs",
     "crates/core/src/stream.rs",
     "crates/core/src/clock.rs",

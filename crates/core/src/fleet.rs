@@ -13,7 +13,7 @@
 //! ```text
 //! ingest(p, chunk) ──► window p     (raw samples, one copy into the
 //!                                    patient's assembling window)
-//! ingest_row(p, r) ──► queue p      (pre-extracted rows buffered eagerly)
+//! ingest_row(p, r) ──► queue p      (pre-extracted rows, buffered as-is)
 //!                          │ flush()
 //!   ┌──────────────────────┴──────────────────────────────────────┐
 //!   │ stage 1 · fleet-wide lane-batched extraction                │
@@ -46,19 +46,15 @@
 //! [`crate::alarm::DroppedPolicy`] variants and worker counts
 //! {1, 2, machine default}).
 //!
-//! ## Eager scheduling on a serial executor set
+//! ## One schedule on every executor set
 //!
-//! When the fleet resolves to **one** executor (`workers = Some(1)`, or
-//! `None` on a single-core machine) there is nothing to fan out, so
-//! each [`FLUSH_PANEL_ROWS`]-row panel is classified incrementally the
-//! moment it fills (rows straight out of extraction or
-//! [`FleetScheduler::ingest_row`] are L1/L2-hot; a flush-time sweep over
-//! a 1024-patient backlog re-reads megabytes of cold rows). On a
-//! parallel set classification defers to the flush so panels can fan
-//! out. Raw-sample extraction runs at the flush on every executor set:
-//! only there do windows from many patients meet to fill 8-lane groups.
-//! The executor set only ever moves work between ingest and flush —
-//! same windows, same kernels, same order, bit-identical results.
+//! Between flushes the fleet only buffers: samples go into the
+//! patient's assembling window, rows into its pending queue. Every
+//! extraction and every classification runs inside the flush, whatever
+//! [`FleetConfig::workers`] resolves to — with one executor the lane
+//! groups and panels simply run inline on the caller. The overload
+//! policy therefore settles which rows to shed before any kernel sees
+//! them, and a shed row is never classified.
 //!
 //! ## Backpressure
 //!
@@ -66,24 +62,23 @@
 //! classify. [`FleetConfig::max_pending_rows`] bounds the feature rows
 //! buffered between flushes; when the bound is hit,
 //! [`OverloadPolicy`] decides who pays: `Reject` sheds the **newest**
-//! window, `DropOldest` sheds the **oldest pending** row fleet-wide,
-//! and `Watermark` runs a high/low hysteresis gate with **per-patient
-//! fair shedding**: when pending rows exceed the high watermark the
-//! gate sheds down to the low watermark in one pass, picking victims
-//! round-robin among the patients holding more than their fair share
-//! (`⌈pending / active patients⌉`) — a single flooding patient pays
-//! first, and no patient is ever starved to protect another (patients
-//! at or under fair share are only shed once *everyone* is at fair
-//! share). Whatever the policy, the shed window stays in its session's
-//! queue as a *dropped* window (decision `None`) — it is still decided
-//! in order at the next flush, so per-session window accounting and the
-//! alarm dropped-window semantics stay exact — and the shed count
-//! surfaces in [`FleetStats`]. Raw-sample windows reach the bounded
+//! window, and `Watermark` runs a high/low hysteresis gate with
+//! **per-patient fair shedding**: when pending rows exceed the high
+//! watermark the gate sheds down to the low watermark in one pass,
+//! picking victims round-robin among the patients holding more than
+//! their fair share (`⌈pending / active patients⌉`) — a single flooding
+//! patient pays first, and no patient is ever starved to protect
+//! another (patients at or under fair share are only shed once
+//! *everyone* is at fair share). Whatever the policy, the shed window
+//! stays in its session's queue as a *dropped* window (decision `None`)
+//! — it is still decided in order at the next flush, so per-session
+//! window accounting and the alarm dropped-window semantics stay exact
+//! — and the shed count surfaces in [`FleetStats`]. Raw-sample windows reach the bounded
 //! buffer when their extraction runs, at the head of `flush` — replayed
 //! in the exact fleet-wide ingest order, so a pure raw-sample workload
-//! sheds exactly as the old eager-extraction scheduler did; in a
-//! *mixed* raw+row fleet under a bound, eagerly buffered rows are
-//! simply already present when the raw windows replay.
+//! sheds exactly as if each window had been extracted the moment it
+//! completed; in a *mixed* raw+row fleet under a bound, rows buffered
+//! at ingest are simply already present when the raw windows replay.
 //!
 //! ## Tick-driven serving
 //!
@@ -136,10 +131,9 @@ pub type PatientId = u64;
 /// [`FleetScheduler::flush`]. Panelling keeps a huge fleet's flush
 /// working set cache-sized (256 rows × 53 features ≈ 106 KiB) instead
 /// of streaming one multi-megabyte batch through the kernels, and is
-/// the grain the parallel fan-out distributes across pool workers and
-/// the increment at which a serial executor set classifies eagerly as
-/// rows arrive; it cannot change results because batch decisions are
-/// bit-identical to per-row decisions.
+/// the grain the parallel fan-out distributes across pool workers; it
+/// cannot change results because batch decisions are bit-identical to
+/// per-row decisions.
 pub const FLUSH_PANEL_ROWS: usize = 256;
 
 /// Who pays when the fleet's pending-row buffer is full.
@@ -150,10 +144,6 @@ pub enum OverloadPolicy {
     /// work is never thrown away — latecomers queue-fail first.
     #[default]
     Reject,
-    /// The **oldest** pending row fleet-wide is shed to make room for
-    /// the new window — freshest-data-wins, for deployments where a
-    /// stale window is worth less than a current one.
-    DropOldest,
     /// High/low watermark admission gate with per-patient fair
     /// shedding: rows are admitted freely until pending rows exceed
     /// [`Watermarks::high`], then the gate sheds down to
@@ -162,8 +152,8 @@ pub enum OverloadPolicy {
     /// (see the module's *Backpressure* section). The hysteresis band
     /// keeps shedding bursty instead of per-row once saturated, and the
     /// fair-share rule means one flooding patient cannot crowd out the
-    /// rest of the fleet. `Reject`/`DropOldest` remain the degenerate
-    /// single-threshold configurations.
+    /// rest of the fleet. `Reject` remains the degenerate
+    /// single-threshold configuration.
     Watermark(Watermarks),
 }
 
@@ -196,8 +186,9 @@ pub struct FleetConfig {
     /// shared global pool; `Some(n)` = exactly `n` executors (`1` runs
     /// fully serial on the caller; `n ≥ 2` builds a fleet-owned pool of
     /// `n − 1` persistent workers, the submitting caller being the
-    /// n-th). Must be `>= 1`; the count cannot change results, only
-    /// wall-clock.
+    /// n-th). Must be `>= 1`. Every executor set runs the same
+    /// schedule (see the module docs); the count cannot change results,
+    /// only wall-clock.
     pub workers: Option<usize>,
     /// Serving clock for the tick-driven runtime
     /// ([`FleetScheduler::tick`] / [`FleetScheduler::run_ticks`]):
@@ -305,7 +296,7 @@ pub struct FleetStats {
     /// [`FleetScheduler::ingest_row`] is deliberately not timed: it is
     /// a plain buffered copy, and a per-row clock read would cost as
     /// much as the work it measures; the rows' real cost (the batch
-    /// kernels, the route-back) is all timed inside the flush.
+    /// kernels, the route-back) runs, and is timed, inside the flush.
     pub busy_ns: u128,
     /// Nanoseconds attributed to feature extraction across every decided
     /// window — the per-window `extract_ns` figures summed at route-back.
@@ -404,15 +395,9 @@ struct ChunkRecord {
     arrival_ns: u64,
 }
 
-/// One buffered window awaiting its decision: the pending window plus,
-/// when the serial fleet has already run it through an incremental
-/// panel (see [`FleetScheduler::classify_hot`]), its decision value.
+/// One buffered window awaiting its decision at the next flush.
 struct QueuedWindow {
     window: PendingWindow,
-    /// `Some` once an incremental panel classified the row (serial
-    /// executor mode only); cleared if the overload policy later sheds
-    /// the row, so a shed window is decided as dropped either way.
-    value: Option<f64>,
     /// Serving-clock reading when the window arrived at the fleet (0
     /// without a clock); the tick runtime turns this into decision
     /// latency at route-back.
@@ -431,10 +416,10 @@ struct Slot {
     staged_next: usize,
     queue: VecDeque<QueuedWindow>,
     /// Queue index before which every window is known rowless — rows
-    /// are only shed front-to-back between flushes, so `DropOldest`
-    /// resumes its victim scan here instead of re-walking the already-
-    /// shed prefix (keeps sustained overload O(1) per shed). Reset
-    /// whenever the queue empties (flush / restart).
+    /// are only shed front-to-back between flushes, so the watermark
+    /// gate resumes its victim scan here instead of re-walking the
+    /// already-shed prefix (keeps sustained overload O(1) per shed).
+    /// Reset whenever the queue empties (flush / restart).
     shed_cursor: usize,
     /// Row-bearing windows currently queued on this slot — the
     /// watermark gate's per-patient pending count, maintained
@@ -559,12 +544,8 @@ pub struct FleetScheduler {
     last_idx: usize,
     /// Raw-sample ingest calls (in fleet-wide order) whose windows are
     /// still awaiting the deferred extract stage — the replay script
-    /// that reconstructs eager-extraction enqueue order at flush time.
+    /// that reconstructs fleet-wide ingest order at flush time.
     pending_chunks: Vec<ChunkRecord>,
-    /// Fleet-wide arrival order of pending rows (one entry per buffered
-    /// row; front = oldest) — what `DropOldest` sheds from. Only
-    /// maintained when `max_pending_rows` actually bounds the buffer.
-    arrival: VecDeque<PatientId>,
     stats: FleetStats,
     /// Reused decision-value buffer of the flush classify stage.
     values: Vec<f64>,
@@ -576,25 +557,6 @@ pub struct FleetScheduler {
     extract_jobs: Vec<ExtractJob>,
     /// Executors for the flush pipeline's parallel stages.
     exec: FlushExec,
-    /// Cache-aware panel scheduling: on a **serial** executor set
-    /// (`flush_executors() == 1`) panels classify incrementally, as
-    /// soon as [`FLUSH_PANEL_ROWS`] rows are buffered — the rows are
-    /// still cache-warm from ingestion, where a deferred flush over a
-    /// large fleet would re-read megabytes of cold row data. On a
-    /// parallel set classification defers to flush so whole panels fan
-    /// out across the pool. Decisions are bit-identical either way;
-    /// only memory traffic differs.
-    eager: bool,
-    /// (slot index, queue position) of each row buffered but not yet
-    /// incrementally classified, in arrival order; only populated in
-    /// `eager` mode, and drained every [`FLUSH_PANEL_ROWS`] rows.
-    /// Queue positions stay valid because shedding strips a window's
-    /// row without removing the window; slot indices are protected by
-    /// draining before any admit/remove reshuffle.
-    hot: Vec<(usize, usize)>,
-    /// Kernel nanoseconds spent in incremental panels since the last
-    /// flush; folded into that flush's accounting.
-    eager_kernel_ns: u128,
     /// The serving clock when the fleet is tick-driven
     /// ([`FleetConfig::tick`]); `None` = caller-driven flushes, no
     /// arrival stamping.
@@ -641,7 +603,6 @@ impl FleetScheduler {
             Some(1) => FlushExec::Serial,
             Some(n) => FlushExec::Owned(WorkerPool::new(n - 1)),
         };
-        let eager = exec.executors() == 1;
         let clock = match cfg.tick {
             Some(t) => Some(FleetClock::new(t)?),
             None => None,
@@ -653,15 +614,11 @@ impl FleetScheduler {
             slots: Vec::new(),
             last_idx: usize::MAX,
             pending_chunks: Vec::new(),
-            arrival: VecDeque::new(),
             stats: FleetStats::default(),
             values: Vec::new(),
             extractor: WindowExtractor::with_precision(cfg.stream.fs, cfg.stream.precision),
             extract_jobs: Vec::new(),
             exec,
-            eager,
-            hot: Vec::new(),
-            eager_kernel_ns: 0,
             clock,
             fair_cursor: 0,
             tick_arrivals: Vec::new(),
@@ -735,9 +692,6 @@ impl FleetScheduler {
     /// Returns [`CoreError::InvalidConfig`] when `patient` is already
     /// admitted.
     pub fn admit(&mut self, patient: PatientId) -> Result<(), CoreError> {
-        // Slot indices shift below; settle the incremental-panel index
-        // first (classifying a partial panel early is always sound).
-        self.classify_hot();
         let Err(pos) = self.ids.binary_search(&patient) else {
             return Err(CoreError::InvalidConfig(format!(
                 "patient {patient} is already admitted"
@@ -767,17 +721,13 @@ impl FleetScheduler {
                 "patient {patient} is not admitted"
             )));
         };
-        // Slot indices shift below; settle the incremental-panel index
-        // first so its (slot, position) entries stay valid.
-        self.classify_hot();
         self.ids.remove(idx);
         let mut slot = self.slots.remove(idx);
         self.last_idx = usize::MAX; // indices shifted
         self.fair_cursor = 0; // indices shifted
-        let discarded_rows = slot.queue.iter().filter(|e| e.window.row.is_some()).count();
+        let discarded_rows = slot.pending_rows;
         let discarded = slot.queue.len() + slot.session.assembled_windows();
         self.pending_chunks.retain(|r| r.patient != patient);
-        self.forget_arrivals(patient, discarded_rows);
         self.stats.pending_windows -= discarded;
         self.stats.pending_rows -= discarded_rows;
         self.stats.discarded_windows += discarded as u64;
@@ -805,18 +755,14 @@ impl FleetScheduler {
                 "patient {patient} is not admitted"
             )));
         };
-        // The restarted slot's queue entries die; settle the
-        // incremental-panel index so no entry dangles.
-        self.classify_hot();
         let slot = &mut self.slots[idx];
-        let discarded_rows = slot.queue.iter().filter(|e| e.window.row.is_some()).count();
+        let discarded_rows = slot.pending_rows;
         let discarded = slot.queue.len() + slot.session.assembled_windows();
         slot.queue.clear();
         slot.shed_cursor = 0;
         slot.pending_rows = 0;
         let mut old = std::mem::replace(&mut slot.session, fresh);
         self.pending_chunks.retain(|r| r.patient != patient);
-        self.forget_arrivals(patient, discarded_rows);
         self.stats.pending_windows -= discarded;
         self.stats.pending_rows -= discarded_rows;
         self.stats.discarded_windows += discarded as u64;
@@ -897,7 +843,7 @@ impl FleetScheduler {
         let pending = self.slots[idx].session.pend_row(row)?;
         let arrival_ns = self.clock.as_ref().map_or(0, FleetClock::now_ns);
         self.stats.pending_windows += 1;
-        self.enqueue_at(idx, patient, pending, arrival_ns);
+        self.enqueue_at(idx, pending, arrival_ns);
         self.stats.ingests += 1;
         Ok(())
     }
@@ -931,38 +877,22 @@ impl FleetScheduler {
         out.rows_classified = 0;
         out.extract_ns = 0;
         out.classify_ns = 0;
-        // Eager panels classified inside `ingest_row` ran outside any
-        // flush window; fold their kernel time into this flush's
-        // accounting (busy_ns and the per-row classify share).
-        let ingest_kernel_ns = std::mem::take(&mut self.eager_kernel_ns);
-        self.stats.busy_ns += ingest_kernel_ns;
         let t0 = Instant::now();
 
         // Stage 1: sharded extraction + ordered replay.
         self.extract_stage();
         self.replay_stage();
 
-        // Stage 2: classify whatever the eager path has not already
-        // handled. On a serial executor set every row-bearing window
-        // was (or now becomes) eagerly classified, so the gather below
-        // comes up empty; on a parallel set it collects every pending
-        // row in (patient asc, window) order and fans the panels across
-        // the executors. The parallel map is order-preserving, so
-        // `values` is laid out exactly as the serial loop would lay it
-        // out.
+        // Stage 2: gather every pending row in (patient asc, window)
+        // order into panels; more than one executor fans the panels
+        // out, one runs them inline. The parallel map is
+        // order-preserving, so `values` is laid out exactly as the
+        // serial loop would lay it out.
         self.values.clear();
-        if self.eager {
-            self.classify_hot();
-        }
         let panel_rows: Vec<&[f64]> = self
             .slots
             .iter()
-            .flat_map(|slot| {
-                slot.queue
-                    .iter()
-                    .filter(|e| e.value.is_none())
-                    .filter_map(|e| e.window.row.as_deref())
-            })
+            .flat_map(|slot| slot.queue.iter().filter_map(|e| e.window.row.as_deref()))
             // lint: allow(hot-alloc) — per-flush staging of borrowed row refs:
             // the borrows are tied to this flush's slot iteration so they
             // cannot live in persistent scratch; pointer-sized entries bounded
@@ -989,17 +919,10 @@ impl FleetScheduler {
                 self.engine.decision_rows_into(panel, &mut self.values);
             }
         }
-        // The replay stage (raw path) and the remainder sweep above may
-        // have run eager panels inside this flush's window: count their
-        // kernel time toward the classify share (busy_ns already covers
-        // them via `t0`).
-        let kernel_ns =
-            kt0.elapsed().as_nanos() + ingest_kernel_ns + std::mem::take(&mut self.eager_kernel_ns);
+        let kernel_ns = kt0.elapsed().as_nanos();
         drop(panel_rows);
-        debug_assert!(self.hot.is_empty(), "every hot entry classified");
-        // Every still-pending row was classified this cycle — eagerly
-        // (value on the entry) or by the panel sweep (positional).
-        let rows_classified = self.stats.pending_rows;
+        let rows_classified = self.values.len();
+        debug_assert_eq!(rows_classified, self.stats.pending_rows);
         // Attribute the batch kernels' cost evenly across their rows so
         // per-window latency accounting survives batching.
         let classify_share_ns = if rows_classified == 0 {
@@ -1025,16 +948,12 @@ impl FleetScheduler {
                 if stamp {
                     self.tick_arrivals.push(e.arrival_ns);
                 }
-                let (decision, share) = match (e.value, &e.window.row) {
-                    // Eagerly classified (a shed row clears its value,
-                    // so a Some here always still carries its row).
-                    (Some(v), _) => (Some(v), classify_share_ns),
-                    (None, Some(_)) => {
-                        let v = self.values[next];
-                        next += 1;
-                        (Some(v), classify_share_ns)
-                    }
-                    (None, None) => (None, 0),
+                let (decision, share) = if e.window.row.is_some() {
+                    let v = self.values[next];
+                    next += 1;
+                    (Some(v), classify_share_ns)
+                } else {
+                    (None, 0)
                 };
                 out.extract_ns += e.window.extract_ns as u128;
                 out.classify_ns += share as u128;
@@ -1055,7 +974,6 @@ impl FleetScheduler {
             }
         }
         debug_assert_eq!(next, self.values.len());
-        self.arrival.clear();
         self.stats.pending_windows = 0;
         self.stats.pending_rows = 0;
         self.stats.flushes += 1;
@@ -1219,8 +1137,7 @@ impl FleetScheduler {
 
     /// Flush stage 1b: replays the staged windows into the pending
     /// queues in fleet-wide ingest order (the chunk records), applying
-    /// the overload policy exactly as eager per-ingest extraction would
-    /// have.
+    /// the overload policy exactly as per-ingest extraction would have.
     fn replay_stage(&mut self) {
         if self.pending_chunks.is_empty() {
             return;
@@ -1235,7 +1152,7 @@ impl FleetScheduler {
                 .expect("chunk records are dropped with their patient");
             for _ in 0..rec.windows {
                 let w = self.slots[idx].take_staged();
-                self.enqueue_at(idx, rec.patient, w, rec.arrival_ns);
+                self.enqueue_at(idx, w, rec.arrival_ns);
             }
         }
         // Keep the records allocation for the next ingest burst.
@@ -1283,16 +1200,10 @@ impl FleetScheduler {
     }
 
     /// Applies the overload policy and queues one extracted window for
-    /// the slot at `idx` (which must be `patient`'s). The caller has
-    /// already counted the window in `pending_windows` (at ingest time
-    /// — rows eagerly, raw windows by geometry).
-    fn enqueue_at(
-        &mut self,
-        idx: usize,
-        patient: PatientId,
-        mut w: PendingWindow,
-        arrival_ns: u64,
-    ) {
+    /// the slot at `idx`. The caller has already counted the window in
+    /// `pending_windows` (at ingest time — rows directly, raw windows by
+    /// geometry).
+    fn enqueue_at(&mut self, idx: usize, mut w: PendingWindow, arrival_ns: u64) {
         // Row freed by the overload policy, recycled into the owning
         // session's pool below so sustained overload stays
         // allocation-free.
@@ -1306,25 +1217,10 @@ impl FleetScheduler {
                     recycled = w.row.take();
                     self.stats.shed_windows += 1;
                 }
-                OverloadPolicy::Reject => {
-                    self.stats.pending_rows += 1;
-                }
-                OverloadPolicy::DropOldest => {
-                    if at_cap {
-                        self.shed_oldest_row();
-                    }
-                    self.stats.pending_rows += 1;
-                    // The arrival deque exists only to pick DropOldest
-                    // victims; an unbounded fleet never sheds, so skip
-                    // the bookkeeping on its hot path.
-                    if self.cfg.max_pending_rows != usize::MAX {
-                        self.arrival.push_back(patient);
-                    }
-                }
-                OverloadPolicy::Watermark(_) => {
-                    // Admit unconditionally; the gate sheds *after* the
-                    // newcomer queues (below), so it is a candidate like
-                    // every other pending row.
+                // Watermark admits unconditionally; the gate sheds
+                // *after* the newcomer queues (below), so it is a
+                // candidate like every other pending row.
+                OverloadPolicy::Reject | OverloadPolicy::Watermark(_) => {
                     self.stats.pending_rows += 1;
                 }
             }
@@ -1333,25 +1229,13 @@ impl FleetScheduler {
         if let Some(row) = recycled {
             slot.session.recycle_row(row);
         }
-        let has_row = w.row.is_some();
-        let pos = slot.queue.len();
-        slot.queue.push_back(QueuedWindow {
-            window: w,
-            value: None,
-            arrival_ns,
-        });
-        if has_row {
+        if w.row.is_some() {
             slot.pending_rows += 1;
         }
-        // Serial executor set: index the row for incremental panel
-        // classification, and classify the moment a full panel is hot —
-        // while its rows are still cache-warm from extraction.
-        if has_row && self.eager {
-            self.hot.push((idx, pos));
-            if self.hot.len() >= FLUSH_PANEL_ROWS {
-                self.classify_hot();
-            }
-        }
+        slot.queue.push_back(QueuedWindow {
+            window: w,
+            arrival_ns,
+        });
         // Watermark gate: crossing the high watermark sheds down to the
         // low watermark in one fair round-robin pass (the hysteresis
         // band keeps shedding bursty once saturated).
@@ -1362,67 +1246,13 @@ impl FleetScheduler {
         }
     }
 
-    /// Classifies every hot (row-bearing, not yet classified) window
-    /// indexed in `self.hot`, writing each decision value onto its
-    /// queue entry. Serial-executor path only: panels run incrementally
-    /// as they fill, while their rows are still cache-warm from
-    /// extraction — a deferred flush-time sweep would re-read megabytes
-    /// of cold rows at fleet scale. Entries whose row was shed after
-    /// indexing are skipped (they decide as dropped). Bit-identical to
-    /// the deferred sweep: same rows, same kernel, same order.
-    fn classify_hot(&mut self) {
-        if self.hot.is_empty() {
-            return;
-        }
-        let mut values = std::mem::take(&mut self.values);
-        values.clear();
-        let t0 = Instant::now();
-        let rows: Vec<&[f64]> = self
-            .hot
-            .iter()
-            .filter_map(|&(s, p)| self.slots[s].queue[p].window.row.as_deref())
-            .collect();
-        self.engine.decision_rows_into(&rows, &mut values);
-        drop(rows);
-        self.eager_kernel_ns += t0.elapsed().as_nanos();
-        let mut vi = 0usize;
-        for &(s, p) in &self.hot {
-            let entry = &mut self.slots[s].queue[p];
-            if entry.window.row.is_some() {
-                entry.value = Some(values[vi]);
-                vi += 1;
-            }
-        }
-        debug_assert_eq!(vi, values.len());
-        self.hot.clear();
-        values.clear();
-        self.values = values;
-    }
-
-    /// Sheds the oldest pending row fleet-wide (`DropOldest`): the
-    /// window stays queued, rowless, and will be decided as dropped;
-    /// its row allocation returns to the victim session's pool. The
-    /// per-slot cursor skips the already-shed rowless prefix, so a
-    /// sustained overload burst sheds in O(1) per window instead of
-    /// re-scanning the queue front every time.
-    fn shed_oldest_row(&mut self) {
-        let Some(victim) = self.arrival.pop_front() else {
-            return;
-        };
-        let idx = self
-            .slot_index(victim)
-            // lint: allow(hot-panic) — invariant: `remove_patient` drops the
-            // patient's arrival entries before its slot.
-            .expect("arrival entries are cleared when their patient leaves");
-        self.shed_row_at(idx);
-    }
-
-    /// Sheds the oldest pending row of the slot at `idx`: the window
-    /// stays queued, rowless, and will be decided as dropped; the row
-    /// allocation returns to the session's pool. Shared mechanics of
-    /// `DropOldest` (victim picked by the arrival deque) and the
-    /// watermark gate (victim picked by fair share). No-op on a slot
-    /// with no pending rows.
+    /// Sheds the oldest pending row of the slot at `idx` (the watermark
+    /// gate's victim): the window stays queued, rowless, and will be
+    /// decided as dropped; the row allocation returns to the session's
+    /// pool. The per-slot cursor skips the already-shed rowless prefix,
+    /// so a sustained overload burst sheds in O(1) per window instead of
+    /// re-scanning the queue front every time. No-op on a slot with no
+    /// pending rows.
     fn shed_row_at(&mut self, idx: usize) {
         let slot = &mut self.slots[idx];
         let Some((offset, entry)) = slot
@@ -1437,9 +1267,6 @@ impl FleetScheduler {
         };
         // lint: allow(hot-panic) — `find` matched on `row.is_some()` above.
         let row = entry.window.row.take().expect("found by row.is_some()");
-        // A row the eager path already classified still sheds: its
-        // value is discarded and the window decides as dropped.
-        entry.value = None;
         slot.shed_cursor += offset + 1;
         slot.pending_rows -= 1;
         slot.session.recycle_row(row);
@@ -1474,22 +1301,6 @@ impl FleetScheduler {
             self.fair_cursor = (victim + 1) % n;
             self.shed_row_at(victim);
         }
-    }
-
-    /// Drops `rows` arrival entries of a departing/restarting patient.
-    fn forget_arrivals(&mut self, patient: PatientId, rows: usize) {
-        if rows == 0 {
-            return;
-        }
-        let mut left = rows;
-        self.arrival.retain(|&p| {
-            if p == patient && left > 0 {
-                left -= 1;
-                false
-            } else {
-                true
-            }
-        });
     }
 }
 
@@ -1853,55 +1664,29 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_policy_sheds_the_oldest_row_fleet_wide() {
+    fn sustained_watermark_burst_sheds_front_to_back() {
+        // One patient under a low = 1 / high = 2 gate: every third row
+        // trips the gate, which sheds the two oldest pending rows. The
+        // shed cursor marches through the growing rowless prefix (each
+        // pass resumes where the last one stopped), and only the newest
+        // row survives to the flush. A second burst after the flush
+        // starts shedding from the front again (cursor reset).
         let mut fleet = FleetScheduler::new(
             engine(),
             FleetConfig {
                 max_pending_rows: 2,
-                overload: OverloadPolicy::DropOldest,
+                overload: OverloadPolicy::Watermark(Watermarks { low: 1, high: 2 }),
                 ..cfg()
             },
         )
         .unwrap();
         fleet.admit(1).unwrap();
-        fleet.admit(2).unwrap();
-        fleet.ingest_row(1, Some(&row(10.0))).unwrap(); // oldest
-        fleet.ingest_row(2, Some(&row(20.0))).unwrap();
-        fleet.ingest_row(2, Some(&row(21.0))).unwrap(); // evicts patient 1's row
-        assert_eq!(fleet.stats().shed_windows, 1);
-        assert_eq!(fleet.stats().pending_rows, 2);
-        let flush = fleet.flush();
-        assert_eq!(flush.rows_classified, 2);
-        let got: Vec<(PatientId, Option<f64>)> = flush
-            .decisions
-            .iter()
-            .map(|d| (d.patient, d.decision.decision))
-            .collect();
-        // Freshest data wins: the newcomer kept its row, the oldest
-        // pending window (patient 1's) was decided as dropped.
-        assert_eq!(got, vec![(1, None), (2, Some(20.0)), (2, Some(21.0))],);
-    }
-
-    #[test]
-    fn sustained_drop_oldest_burst_sheds_front_to_back() {
-        // Capacity 1 under a burst: every new row evicts the previous
-        // oldest, marching the shed cursor through a growing rowless
-        // prefix; only the newest row survives to the flush. A second
-        // burst after the flush must start shedding from the front
-        // again (cursor reset).
-        let mut fleet = FleetScheduler::new(
-            engine(),
-            FleetConfig {
-                max_pending_rows: 1,
-                overload: OverloadPolicy::DropOldest,
-                ..cfg()
-            },
-        )
-        .unwrap();
-        fleet.admit(1).unwrap();
+        let mut cursors = Vec::new();
         for v in 0..5 {
             fleet.ingest_row(1, Some(&row(f64::from(v)))).unwrap();
+            cursors.push(fleet.slots[0].shed_cursor);
         }
+        assert_eq!(cursors, vec![0, 0, 2, 2, 4]);
         assert_eq!(fleet.stats().shed_windows, 4);
         assert_eq!(fleet.stats().pending_rows, 1);
         let got: Vec<Option<f64>> = fleet
@@ -1911,9 +1696,11 @@ mod tests {
             .map(|d| d.decision.decision)
             .collect();
         assert_eq!(got, vec![None, None, None, None, Some(4.0)]);
+        assert_eq!(fleet.slots[0].shed_cursor, 0, "flush resets the cursor");
         for v in 5..8 {
             fleet.ingest_row(1, Some(&row(f64::from(v)))).unwrap();
         }
+        assert_eq!(fleet.slots[0].shed_cursor, 2);
         let got: Vec<Option<f64>> = fleet
             .flush()
             .decisions
@@ -1922,6 +1709,120 @@ mod tests {
             .collect();
         assert_eq!(got, vec![None, None, Some(7.0)]);
         assert_eq!(fleet.stats().shed_windows, 6);
+    }
+
+    /// [`SumEngine`] that logs every row its batch kernel classifies
+    /// (by the row's first feature, which the tests use as a tag).
+    #[derive(Default)]
+    struct LoggingEngine {
+        seen: std::sync::Mutex<Vec<f64>>,
+    }
+
+    impl ClassifierEngine for LoggingEngine {
+        fn decision(&self, row: &[f64]) -> f64 {
+            SumEngine.decision(row)
+        }
+        fn decision_rows_into(&self, rows: &[&[f64]], out: &mut Vec<f64>) {
+            self.seen.lock().unwrap().extend(rows.iter().map(|r| r[0]));
+            out.extend(rows.iter().map(|r| self.decision(r)));
+        }
+        fn n_features(&self) -> usize {
+            N_FEATURES
+        }
+        fn info(&self) -> EngineInfo {
+            SumEngine.info()
+        }
+    }
+
+    #[test]
+    fn serial_fleet_never_classifies_a_shed_row() {
+        // A serial executor set behind a watermark gate, offered more
+        // than one panel of rows between flushes: the gate sheds before
+        // any kernel runs, so the engine sees exactly the surviving rows,
+        // in route-back order, and nothing else.
+        let logger = Arc::new(LoggingEngine::default());
+        let mut fleet = FleetScheduler::new(
+            Arc::clone(&logger) as SharedEngine,
+            FleetConfig {
+                max_pending_rows: 400,
+                overload: OverloadPolicy::Watermark(Watermarks {
+                    low: 100,
+                    high: 300,
+                }),
+                workers: Some(1),
+                ..cfg()
+            },
+        )
+        .unwrap();
+        for p in 0..3 {
+            fleet.admit(p).unwrap();
+        }
+        let offered = 2 * FLUSH_PANEL_ROWS + 40;
+        for i in 0..offered {
+            let p = if i % 4 == 0 {
+                0
+            } else {
+                1 + (i % 2) as PatientId
+            };
+            fleet.ingest_row(p, Some(&row(i as f64 + 1.0))).unwrap();
+        }
+        assert!(
+            logger.seen.lock().unwrap().is_empty(),
+            "ingest classifies nothing"
+        );
+        let flush = fleet.flush();
+        let survivors: Vec<f64> = flush
+            .decisions
+            .iter()
+            .filter_map(|d| d.decision.decision)
+            .collect();
+        let shed = fleet.stats().shed_windows as usize;
+        assert!(shed > FLUSH_PANEL_ROWS, "the gate shed more than a panel");
+        assert_eq!(survivors.len() + shed, offered);
+        assert_eq!(flush.rows_classified, survivors.len());
+        assert_eq!(*logger.seen.lock().unwrap(), survivors);
+    }
+
+    #[test]
+    fn non_finite_rows_are_rejected_before_they_queue() {
+        // Both paper engines (float pipeline and quantised) and the toy
+        // engine: a NaN or ±inf feature is an error naming the feature,
+        // and the row never reaches the queue, the stats or the window
+        // numbering.
+        let m = crate::quickfeat::synthetic_matrix(&Default::default());
+        let float = crate::trained::FloatPipeline::fit(&m, &Default::default()).unwrap();
+        let quant = crate::engine::QuantizedEngine::from_pipeline(
+            &float,
+            crate::engine::BitConfig::paper_choice(),
+        )
+        .unwrap();
+        let engines: [SharedEngine; 3] = [engine(), Arc::new(float), Arc::new(quant)];
+        for e in engines {
+            let mut fleet = FleetScheduler::new(Arc::clone(&e), cfg()).unwrap();
+            fleet.admit(1).unwrap();
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut r = row(1.0);
+                r[17] = bad;
+                let Err(CoreError::InvalidConfig(msg)) = fleet.ingest_row(1, Some(&r)) else {
+                    panic!("non-finite row accepted by {}", e.info().kind);
+                };
+                assert!(msg.contains("feature 17"), "{msg}");
+            }
+            let stats = fleet.stats();
+            assert_eq!(
+                (stats.ingests, stats.pending_windows, stats.pending_rows),
+                (0, 0, 0)
+            );
+            let good = m.features.row(0).to_vec();
+            fleet.ingest_row(1, Some(&good)).unwrap();
+            let flush = fleet.flush();
+            assert_eq!(flush.decisions.len(), 1);
+            assert_eq!(flush.decisions[0].decision.window_index, 0);
+            assert_eq!(
+                flush.decisions[0].decision.decision,
+                Some(e.decision(&good))
+            );
+        }
     }
 
     #[test]
@@ -2188,8 +2089,8 @@ mod tests {
         let mut fleet = FleetScheduler::new(
             engine(),
             FleetConfig {
-                max_pending_rows: 2,
-                overload: OverloadPolicy::DropOldest,
+                max_pending_rows: 4,
+                overload: OverloadPolicy::Watermark(Watermarks { low: 2, high: 3 }),
                 ..cfg()
             },
         )
@@ -2199,37 +2100,53 @@ mod tests {
         fleet.ingest_row(1, Some(&row(1.0))).unwrap();
         fleet.ingest_row(2, Some(&row(2.0))).unwrap();
         // Removing patient 1 discards its pending window undecided and
-        // forgets its arrival entry.
+        // takes its row out of the gate's count.
         let removed = fleet.remove(1).unwrap();
         assert_eq!(removed.discarded_windows, 1);
         assert_eq!(removed.stats.windows, 0, "never decided");
         assert_eq!(fleet.stats().pending_rows, 1);
         assert_eq!(fleet.stats().pending_windows, 1);
         assert_eq!(fleet.stats().discarded_windows, 1);
-        // The freed arrival slot belongs to patient 2 now: filling to
-        // capacity and overflowing must evict patient 2's oldest row,
-        // not chase the departed patient 1.
+        // Patient 2 alone now fills the band: reaching high sheds
+        // nothing, crossing it sheds patient 2's oldest rows down to low
+        // — the departed patient 1 is neither counted nor chased.
         fleet.ingest_row(2, Some(&row(3.0))).unwrap();
         fleet.ingest_row(2, Some(&row(4.0))).unwrap();
-        assert_eq!(fleet.stats().shed_windows, 1);
+        assert_eq!(fleet.stats().shed_windows, 0);
+        fleet.ingest_row(2, Some(&row(5.0))).unwrap();
+        assert_eq!(fleet.stats().shed_windows, 2);
         let flush = fleet.flush();
         let got: Vec<Option<f64>> = flush
             .decisions
             .iter()
             .map(|d| d.decision.decision)
             .collect();
-        assert_eq!(got, vec![None, Some(3.0), Some(4.0)]);
-        // Restart: stats and window numbering begin again.
-        fleet.ingest_row(2, Some(&row(5.0))).unwrap();
+        assert_eq!(got, vec![None, None, Some(4.0), Some(5.0)]);
+        // Restart mid-burst: the queue, its shed cursor and its gate
+        // count all start again.
+        for v in [6.0, 7.0, 8.0, 9.0] {
+            fleet.ingest_row(2, Some(&row(v))).unwrap();
+        }
+        assert_eq!(fleet.stats().shed_windows, 4);
         let restarted = fleet.restart(2).unwrap();
-        assert_eq!(restarted.discarded_windows, 1);
-        assert_eq!(restarted.stats.windows, 3);
+        assert_eq!(restarted.discarded_windows, 4);
+        assert_eq!(restarted.stats.windows, 4);
         assert_eq!(fleet.stats().restarted, 1);
-        fleet.ingest_row(2, Some(&row(6.0))).unwrap();
+        assert_eq!(fleet.stats().pending_rows, 0);
+        assert_eq!(fleet.slots[0].shed_cursor, 0);
+        for v in [10.0, 11.0, 12.0, 13.0] {
+            fleet.ingest_row(2, Some(&row(v))).unwrap();
+        }
         let flush = fleet.flush();
-        assert_eq!(flush.decisions.len(), 1);
-        assert_eq!(flush.decisions[0].decision.window_index, 0);
-        assert_eq!(flush.decisions[0].decision.decision, Some(6.0));
+        let got: Vec<(u64, Option<f64>)> = flush
+            .decisions
+            .iter()
+            .map(|d| (d.decision.window_index, d.decision.decision))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(0, None), (1, None), (2, Some(12.0)), (3, Some(13.0))]
+        );
         // Re-admitting a removed id works.
         fleet.admit(1).unwrap();
         assert_eq!(fleet.len(), 2);

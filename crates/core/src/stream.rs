@@ -662,8 +662,9 @@ impl StreamingSession {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when `row` is not exactly
-    /// [`N_FEATURES`] wide, or when the session has already ingested
-    /// raw samples.
+    /// [`N_FEATURES`] wide, holds a NaN or infinite feature, or when the
+    /// session has already ingested raw samples. A rejected row does not
+    /// advance the window counter.
     pub fn push_row(&mut self, row: Option<&[f64]>) -> Result<WindowDecision, CoreError> {
         let pending = self.pend_row(row)?;
         let t0 = Instant::now();
@@ -686,9 +687,11 @@ impl StreamingSession {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when `row` is not exactly
-    /// [`N_FEATURES`] wide, or when the session has already ingested
-    /// raw samples (the ingest modes must not mix — see
-    /// [`StreamingSession::push_row`]).
+    /// [`N_FEATURES`] wide, holds a NaN or infinite feature (no engine
+    /// can classify it: the float pipeline would return a NaN decision,
+    /// the quantised engine would encode it as a finite code), or when
+    /// the session has already ingested raw samples (the ingest modes
+    /// must not mix — see [`StreamingSession::push_row`]).
     pub fn pend_row(&mut self, row: Option<&[f64]>) -> Result<PendingWindow, CoreError> {
         if self.stats.samples_in > 0 {
             return Err(CoreError::InvalidConfig(
@@ -702,6 +705,11 @@ impl StreamingSession {
                 return Err(CoreError::InvalidConfig(format!(
                     "pre-extracted row has {} features, extraction produces {N_FEATURES}",
                     r.len()
+                )));
+            }
+            if let Some(i) = r.iter().position(|v| !v.is_finite()) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "pre-extracted row has a non-finite value at feature {i}"
                 )));
             }
         }
@@ -1248,6 +1256,37 @@ mod tests {
         row[0] = 1.0;
         s.push_row(Some(&row)).unwrap();
         assert_eq!(s.take_alarms().len(), 1);
+    }
+
+    #[test]
+    fn push_row_rejects_non_finite_features_for_every_engine() {
+        let m = crate::quickfeat::synthetic_matrix(&Default::default());
+        let float = crate::trained::FloatPipeline::fit(&m, &Default::default()).unwrap();
+        let quant = crate::engine::QuantizedEngine::from_pipeline(
+            &float,
+            crate::engine::BitConfig::paper_choice(),
+        )
+        .unwrap();
+        let engines: [SharedEngine; 3] = [engine(), Arc::new(float), Arc::new(quant)];
+        let cfg = StreamConfig::non_overlapping(128.0, 30.0).unwrap();
+        let good = m.features.row(0).to_vec();
+        for e in engines {
+            let mut s = StreamingSession::new(Arc::clone(&e), cfg).unwrap();
+            for (i, bad) in [(0, f64::NAN), (29, f64::INFINITY), (52, f64::NEG_INFINITY)] {
+                let mut r = good.clone();
+                r[i] = bad;
+                let Err(CoreError::InvalidConfig(msg)) = s.push_row(Some(&r)) else {
+                    panic!("{} accepted {bad} at feature {i}", e.info().kind);
+                };
+                assert!(msg.contains(&format!("feature {i}")), "{msg}");
+            }
+            // Nothing was decided or counted, and numbering starts at 0.
+            assert_eq!(s.stats().windows, 0);
+            assert!(!s.is_row_fed());
+            let d = s.push_row(Some(&good)).unwrap();
+            assert_eq!(d.window_index, 0);
+            assert_eq!(d.decision, Some(e.decision(&good)));
+        }
     }
 
     #[test]

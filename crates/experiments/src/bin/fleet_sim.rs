@@ -199,9 +199,11 @@ fn main() {
     );
 
     // Backpressure: a deliberately tiny row buffer under a burst, both
-    // overload policies. Shed windows are decided as dropped, in order.
+    // overload policies (the watermark gate sheds from 4 rows down to 2).
+    // Shed windows are decided as dropped, in order.
     println!("\nbackpressure under a 4-row buffer (burst of whole sessions):");
-    for policy in [OverloadPolicy::Reject, OverloadPolicy::DropOldest] {
+    let gate = OverloadPolicy::Watermark(Watermarks { low: 2, high: 4 });
+    for policy in [OverloadPolicy::Reject, gate] {
         let fleet_cfg = FleetConfig {
             max_pending_rows: 4,
             overload: policy,

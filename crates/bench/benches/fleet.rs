@@ -1,24 +1,22 @@
 //! Perf-trajectory baseline for fleet-scale session multiplexing:
-//! cross-patient batched inference through `FleetScheduler` against the
-//! `run_streams_parallel` per-row serving baseline, at 64 / 256 / 1024
-//! simulated patients.
+//! cross-patient batched inference through `FleetScheduler` at 64 / 256 /
+//! 1024 simulated patients.
 //!
 //! Two serving shapes are measured:
 //!
-//! * **raw-sample ingest** (`fleet_ingest_flush_*` vs
-//!   `streams_parallel_*`) — the server runs feature extraction; both
-//!   paths pay the same extraction cost per window, so the fleet's edge
-//!   here is amortised session state (persistent rings/scratch vs
-//!   per-call construction) plus the batched kernel;
 //! * **row ingest** (`fleet_rows_*` vs `perrow_rows_*`) — the
 //!   on-device-extraction topology (wearables ship 53-float rows), where
 //!   the server is classification-bound and cross-patient batching is
-//!   the whole story.
+//!   the whole story; the baseline is one solo `StreamingSession` per
+//!   patient classifying row by row;
+//! * **raw-sample ingest** (`fleet_ingest_flush_*`) — the server runs
+//!   feature extraction, so these rows track the extraction-bound
+//!   serving rate at each fleet size and executor count.
 //!
 //! Run with `cargo bench -p bench --bench fleet`; results land in
 //! `BENCH_fleet.json` (workspace root only when `BENCH_WRITE_BASELINE`
 //! is set, `target/` otherwise) with windows/sec per fleet size and
-//! fleet-vs-baseline ratios.
+//! fleet-vs-per-row ratios.
 
 use bench::{bb, Harness};
 use ecg_features::extract::{ExtractScratch, WindowExtractor};
@@ -28,7 +26,7 @@ use seizure_core::clock::TickConfig;
 use seizure_core::config::FitConfig;
 use seizure_core::engine::{BitConfig, QuantizedEngine};
 use seizure_core::fleet::{FleetConfig, FleetScheduler};
-use seizure_core::stream::{run_streams_parallel, SharedEngine, StreamConfig, StreamingSession};
+use seizure_core::stream::{SharedEngine, StreamConfig, StreamingSession};
 use seizure_core::trained::FloatPipeline;
 use std::sync::Arc;
 
@@ -124,9 +122,8 @@ fn main() {
                 fleet.flush_into(&mut flush);
                 bb(flush.rows_classified)
             });
-            // Per-row baseline: the run_streams_parallel serving shape —
-            // persistent per-patient sessions, one engine.decision per
-            // window.
+            // Per-row baseline: persistent per-patient solo sessions, one
+            // engine.decision per window.
             let mut sessions: Vec<StreamingSession> = (0..n)
                 .map(|_| StreamingSession::new(Arc::clone(engine), cfg).expect("session"))
                 .collect();
@@ -270,8 +267,7 @@ fn main() {
     // --- raw-sample ingest: extraction-bound end-to-end serving ---
     for &n in &FLEET_SIZES {
         let fleet_name = format!("fleet_ingest_flush_{n}_quant");
-        let baseline_name = format!("streams_parallel_{n}_quant");
-        if !h.enabled(&fleet_name) && !h.enabled(&baseline_name) {
+        if !h.enabled(&fleet_name) {
             continue;
         }
         let chunks = patient_chunks(&ecgs, cfg.window_len, n);
@@ -288,27 +284,10 @@ fn main() {
             fleet.flush_into(&mut flush);
             bb(flush.decisions.len())
         });
-        // The named baseline: run_streams_parallel re-builds sessions
-        // per call and classifies window by window.
-        let streams: Vec<Vec<f64>> = chunks.iter().map(|c| c.to_vec()).collect();
-        let baseline_ns = h.bench(&baseline_name, || {
-            bb(
-                run_streams_parallel(&quant_engine, cfg, &streams, cfg.window_len)
-                    .expect("baseline"),
-            )
-        });
-        if fleet_ns.is_finite() && baseline_ns.is_finite() {
+        if fleet_ns.is_finite() {
             meta.push((
                 Box::leak(format!("ingest_{n}_quant_fleet_windows_per_sec").into_boxed_str()),
                 format!("{:.1}", n as f64 * 1e9 / fleet_ns),
-            ));
-            meta.push((
-                Box::leak(format!("ingest_{n}_quant_baseline_windows_per_sec").into_boxed_str()),
-                format!("{:.1}", n as f64 * 1e9 / baseline_ns),
-            ));
-            meta.push((
-                Box::leak(format!("ingest_{n}_quant_fleet_vs_streams_parallel").into_boxed_str()),
-                format!("{:.3}", baseline_ns / fleet_ns),
             ));
         }
         // Pinned executor counts: the sharded extract stage at serial /
@@ -351,7 +330,7 @@ fn main() {
     h.report();
     println!("\nfleet vs per-row baselines (ratio > 1 ⇒ fleet faster):");
     for (k, v) in &meta {
-        if k.ends_with("_fleet_vs_perrow") || k.ends_with("_fleet_vs_streams_parallel") {
+        if k.ends_with("_fleet_vs_perrow") {
             println!("  {k:<44} {v}x");
         }
     }

@@ -1,7 +1,7 @@
 //! Perf-trajectory baseline for the streaming inference subsystem:
 //! chunked session replay through `StreamingSession` (float and quantised
-//! engines) against the batch path on the same windows, plus the
-//! multi-stream parallel fan-out.
+//! engines) against the batch path on the same windows. Multi-patient
+//! serving is measured by the fleet bench.
 //!
 //! Run with `cargo bench -p bench --bench streaming`; results land in
 //! `BENCH_streaming.json` (workspace root only when
@@ -14,9 +14,7 @@ use ecg_features::{DenseMatrix, N_FEATURES};
 use ecg_sim::dataset::{DatasetSpec, Scale};
 use seizure_core::config::FitConfig;
 use seizure_core::engine::{BitConfig, QuantizedEngine};
-use seizure_core::stream::{
-    run_streams_parallel, SharedEngine, StreamConfig, StreamStats, StreamingSession,
-};
+use seizure_core::stream::{SharedEngine, StreamConfig, StreamStats, StreamingSession};
 use seizure_core::trained::FloatPipeline;
 use std::sync::Arc;
 
@@ -79,17 +77,6 @@ fn main() {
             }
         }
         bb(float_engine.decision_batch(&rows))
-    });
-
-    // --- concurrent patient streams over one shared engine ---
-    let streams: Vec<Vec<f64>> = spec
-        .sessions
-        .iter()
-        .take(3)
-        .map(|s| s.synthesize().ecg)
-        .collect();
-    h.bench("stream_parallel_3_patients_1s_chunks", || {
-        bb(run_streams_parallel(&float_engine, cfg, &streams, chunk_1s).expect("cohort"))
     });
 
     h.report();

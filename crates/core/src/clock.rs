@@ -14,10 +14,10 @@
 //! ## Bucket scheme
 //!
 //! Values below 16 ns index their own exact bucket. From 16 ns up, each
-//! power-of-two octave splits into 8 sub-buckets ([`SUB_BITS`] = 3), so
+//! power-of-two octave splits into 8 sub-buckets (`SUB_BITS` = 3), so
 //! a reported quantile overestimates the true value by at most one
 //! sub-bucket width: **12.5 %** relative error, constant across the
-//! whole `u64` range. 16 exact + 60 octaves × 8 = [`BUCKETS`] = 496
+//! whole `u64` range. 16 exact + 60 octaves × 8 = `BUCKETS` = 496
 //! `u64` counters ≈ 4 KiB per histogram. Quantiles are additionally
 //! clamped to the exactly-tracked `[min, max]`, so single-sample and
 //! extreme quantiles are exact.

@@ -1,10 +1,9 @@
 //! Fleet-scale session multiplexing: thousands of patient streams, one
 //! staged multi-core inference pipeline.
 //!
-//! [`crate::stream::run_streams_parallel`] fans patient sessions out
-//! across threads but still classifies **one window at a time** per
-//! session — the tiled [`ClassifierEngine::decision_batch`] kernels
-//! never run on the serving path. [`FleetScheduler`] closes that gap: it
+//! A solo [`StreamingSession`] classifies **one window at a time**, so
+//! the tiled [`svm::ClassifierEngine::decision_batch`] kernels never run
+//! on its path. [`FleetScheduler`] is the multi-patient path: it
 //! owns N per-patient [`StreamingSession`]s, accepts
 //! [`FleetScheduler::ingest`] calls in arbitrary patient interleavings,
 //! and each [`FleetScheduler::flush`] drives a three-stage pipeline over
@@ -116,8 +115,8 @@ use crate::clock::{FleetClock, LatencyHistogram, TickConfig, TickOutcome};
 use crate::error::CoreError;
 use crate::parallel::WorkerPool;
 use crate::stream::{
-    extract_group, pooled_windows_per_sec, ExtractJob, PendingWindow, SharedEngine, StreamConfig,
-    StreamStats, StreamingSession, WindowDecision, LANE_GROUP,
+    extract_group, ExtractJob, PendingWindow, SharedEngine, StreamConfig, StreamStats,
+    StreamingSession, WindowDecision, LANE_GROUP,
 };
 use ecg_features::extract::WindowExtractor;
 use std::collections::VecDeque;
@@ -127,7 +126,7 @@ use std::time::Instant;
 /// Identifies one patient stream within a fleet.
 pub type PatientId = u64;
 
-/// Rows per [`ClassifierEngine::decision_rows_into`] panel inside
+/// Rows per [`svm::ClassifierEngine::decision_rows_into`] panel inside
 /// [`FleetScheduler::flush`]. Panelling keeps a huge fleet's flush
 /// working set cache-sized (256 rows × 53 features ≈ 106 KiB) instead
 /// of streaming one multi-megabyte batch through the kernels, and is
@@ -334,8 +333,17 @@ impl FleetStats {
     /// fleet busy time. This is the pooled figure the summed per-window
     /// latencies of a merged [`StreamStats`] cannot provide (they treat
     /// concurrent work as serial — see [`StreamStats::windows_per_sec`]).
+    /// `0.0` before any window is decided; `INFINITY` when windows were
+    /// decided in sub-resolution busy time, mirroring
+    /// [`StreamStats::windows_per_sec`].
     pub fn wall_windows_per_sec(&self) -> f64 {
-        pooled_windows_per_sec(self.windows_decided, self.busy_ns)
+        if self.windows_decided == 0 {
+            0.0
+        } else if self.busy_ns == 0 {
+            f64::INFINITY
+        } else {
+            self.windows_decided as f64 * 1e9 / self.busy_ns as f64
+        }
     }
 }
 
@@ -508,7 +516,7 @@ impl FlushExec {
 
 /// Multiplexes N per-patient [`StreamingSession`]s over one shared
 /// engine, micro-batching ready feature rows across patients into
-/// panelled [`ClassifierEngine::decision_rows_into`] calls fanned across
+/// panelled [`svm::ClassifierEngine::decision_rows_into`] calls fanned across
 /// a persistent worker pool (see the module docs for the staged
 /// pipeline).
 ///
@@ -855,7 +863,7 @@ impl FleetScheduler {
     /// fleet-wide ingest order, under the overload policy); (2) every
     /// buffered feature row is gathered by reference into
     /// [`FLUSH_PANEL_ROWS`]-row panels and the panels fan out across
-    /// the pool through [`ClassifierEngine::decision_rows_into`];
+    /// the pool through [`svm::ClassifierEngine::decision_rows_into`];
     /// (3) decisions scatter back through each session's decide stage
     /// (stats, alarm state machine, pending-alarm buffer) in
     /// (patient asc, window) order. Windows without a row

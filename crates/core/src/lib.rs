@@ -123,5 +123,5 @@ pub use fleet::{
     FleetConfig, FleetDecision, FleetFlush, FleetScheduler, FleetStats, OverloadPolicy, PatientId,
     Watermarks,
 };
-pub use stream::{StreamConfig, StreamOutcome, StreamStats, StreamingSession, WindowDecision};
+pub use stream::{StreamConfig, StreamStats, StreamingSession, WindowDecision};
 pub use trained::FloatPipeline;

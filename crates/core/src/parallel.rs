@@ -1,14 +1,13 @@
 //! Deterministic data parallelism on a persistent worker pool.
 //!
 //! The evaluation layer fans independent work items (LOSO folds, sweep
-//! points, grid cells, patient streams) across OS threads. Up to PR 2
-//! every [`par_map`] call paid a full `std::thread::scope` spawn/join
-//! cycle; the sweep drivers (`loso_evaluate`, `bit_grid_evaluate`,
-//! `feature_sweep`, `run_streams_parallel`) call it thousands of times,
-//! so the spawn overhead was a real tax. [`par_map`] now dispatches onto
-//! a lazily-initialised global [`WorkerPool`]: workers are spawned once,
-//! park on a condvar between jobs, and claim items from a shared atomic
-//! counter exactly as before.
+//! points, grid cells, fleet flush shards) across OS threads. A full
+//! `std::thread::scope` spawn/join cycle per [`par_map`] call would tax
+//! the sweep drivers (`loso_evaluate`, `bit_grid_evaluate`,
+//! `feature_sweep`), which call it thousands of times, so [`par_map`]
+//! dispatches onto a lazily-initialised global [`WorkerPool`]: workers
+//! are spawned once, park on a condvar between jobs, and claim items
+//! from a shared atomic counter.
 //!
 //! Determinism is structural and unchanged: every item is computed
 //! independently and its result is written to the item's own output
@@ -490,17 +489,6 @@ where
     global_pool().par_map_mut(items, f)
 }
 
-/// Indexed variant of [`par_map`]: `f` receives `(index, &item)`.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let indexed: Vec<usize> = (0..items.len()).collect();
-    par_map(&indexed, |&i| f(i, &items[i]))
-}
-
 /// The pre-pool implementation — a full `std::thread::scope` spawn/join
 /// per call — kept as the overhead reference the kernel bench compares
 /// the persistent pool against. Semantically identical to [`par_map`].
@@ -567,13 +555,6 @@ mod tests {
         let items: Vec<usize> = (0..257).collect();
         let out = par_map(&items, |&i| i * 3);
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn indexed_variant_sees_indices() {
-        let items = vec!["a", "b", "c"];
-        let out = par_map_indexed(&items, |i, s| format!("{i}{s}"));
-        assert_eq!(out, vec!["0a", "1b", "2c"]);
     }
 
     #[test]

@@ -38,15 +38,10 @@
 //! into stats, alarms and the output. [`StreamingSession::push_samples`]
 //! fuses them per row; [`crate::fleet::FleetScheduler`] batches the
 //! decide stage across thousands of patients.
-//!
-//! Many patient streams run concurrently via
-//! [`run_streams_parallel`], which fans sessions out on
-//! [`crate::parallel::par_map`] while sharing one engine.
 
 use crate::alarm::{AlarmConfig, AlarmEvent, AlarmStateMachine};
 use crate::clock::LatencyHistogram;
 use crate::error::CoreError;
-use crate::parallel::par_map_mut;
 use biodsp::stream::{AssembledWindow, WindowAssembler};
 use biodsp::ExtractPrecision;
 use ecg_features::extract::WindowExtractor;
@@ -227,10 +222,9 @@ impl StreamStats {
     /// [`StreamStats::merge`]d cohort it is **not**: summing
     /// `total_latency_ns` across concurrent streams treats parallel work
     /// as serial, so the pooled figure *under-reports* fleet throughput
-    /// by up to the concurrency factor. For cohort-level rates use the
-    /// wall-clock figures instead ([`StreamOutcome::wall_windows_per_sec`]
-    /// per stream, `CohortAlarmReport::pooled_windows_per_sec` /
-    /// [`crate::fleet::FleetStats::wall_windows_per_sec`] fleet-wide).
+    /// by up to the concurrency factor. For the cohort-level rate use the
+    /// fleet's wall-clock figure instead
+    /// ([`crate::fleet::FleetStats::wall_windows_per_sec`]).
     /// The serial-equivalent number remains meaningful on merged stats as
     /// a *per-core cost* metric — windows per CPU-second — just not as a
     /// wall-clock rate.
@@ -749,123 +743,6 @@ impl StreamingSession {
     }
 }
 
-/// Everything one finished stream produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamOutcome {
-    /// Per-window decisions in window order.
-    pub decisions: Vec<WindowDecision>,
-    /// Alarms raised by the alarm stage, in firing order (empty when the
-    /// stage was not enabled for the run).
-    pub alarms: Vec<AlarmEvent>,
-    /// The stream's latency/throughput accounting.
-    pub stats: StreamStats,
-    /// Wall-clock nanoseconds the whole replay of this stream took
-    /// (chunk feeding included) — the honest denominator for this
-    /// stream's throughput, unlike the summed per-window latencies of
-    /// [`StreamStats`].
-    pub wall_ns: u64,
-}
-
-impl StreamOutcome {
-    /// Wall-clock throughput of this stream's replay (`0.0` before any
-    /// window; `INFINITY` when windows completed under a zero-latency
-    /// coarse clock, mirroring [`StreamStats::windows_per_sec`]).
-    pub fn wall_windows_per_sec(&self) -> f64 {
-        pooled_windows_per_sec(self.stats.windows, u128::from(self.wall_ns))
-    }
-}
-
-/// Wall-clock pooled throughput: `windows` completed across any number
-/// of concurrent streams over `wall_ns` of real time. This is the
-/// cohort-level rate [`StreamStats::windows_per_sec`] cannot provide
-/// (summed latencies treat parallel work as serial); `0.0` without
-/// windows, `INFINITY` when windows completed in sub-resolution time.
-pub fn pooled_windows_per_sec(windows: u64, wall_ns: u128) -> f64 {
-    if windows == 0 {
-        0.0
-    } else if wall_ns == 0 {
-        f64::INFINITY
-    } else {
-        windows as f64 * 1e9 / wall_ns as f64
-    }
-}
-
-/// Runs many patient streams concurrently over one shared engine: each
-/// stream gets its own [`StreamingSession`] (ring, scratch, stats) and is
-/// fed in `chunk_len`-sample chunks; sessions fan out on
-/// [`par_map_mut`], and results come back in input order.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] for an invalid `cfg` or
-/// `chunk_len == 0`.
-pub fn run_streams_parallel(
-    engine: &SharedEngine,
-    cfg: StreamConfig,
-    streams: &[Vec<f64>],
-    chunk_len: usize,
-) -> Result<Vec<StreamOutcome>, CoreError> {
-    run_streams_parallel_alarmed(engine, cfg, None, streams, chunk_len)
-}
-
-/// [`run_streams_parallel`] with an optional per-stream alarm stage:
-/// with `Some(alarm_cfg)` every session folds its decisions through its
-/// own k-of-n [`AlarmStateMachine`] and the outcomes carry the raised
-/// [`AlarmEvent`]s.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidConfig`] for an invalid `cfg`, an invalid
-/// `alarm_cfg` or `chunk_len == 0`.
-pub fn run_streams_parallel_alarmed(
-    engine: &SharedEngine,
-    cfg: StreamConfig,
-    alarm_cfg: Option<AlarmConfig>,
-    streams: &[Vec<f64>],
-    chunk_len: usize,
-) -> Result<Vec<StreamOutcome>, CoreError> {
-    if chunk_len == 0 {
-        return Err(CoreError::InvalidConfig(
-            "stream chunk length must be >= 1".into(),
-        ));
-    }
-    if streams.is_empty() {
-        // Still surface configuration errors for a zero-stream cohort.
-        StreamingSession::new(Arc::clone(engine), cfg)?;
-        if let Some(a) = alarm_cfg {
-            a.validate()?;
-        }
-        return Ok(Vec::new());
-    }
-    // Build every session up front so configuration errors propagate as
-    // typed results instead of panicking inside the parallel region.
-    let mut work = streams
-        .iter()
-        .map(|samples| {
-            let mut session = StreamingSession::new(Arc::clone(engine), cfg)?;
-            if let Some(a) = alarm_cfg {
-                session.enable_alarms(a)?;
-            }
-            Ok((session, samples.as_slice()))
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
-    Ok(par_map_mut(&mut work, |(session, samples)| {
-        let t0 = Instant::now();
-        let mut decisions = Vec::new();
-        let mut fresh = Vec::new();
-        for chunk in samples.chunks(chunk_len) {
-            session.push_samples_into(chunk, &mut fresh);
-            decisions.append(&mut fresh);
-        }
-        StreamOutcome {
-            decisions,
-            alarms: session.take_alarms(),
-            stats: session.stats(),
-            wall_ns: t0.elapsed().as_nanos() as u64,
-        }
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1187,41 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_alarmed_streams_match_solo_sessions() {
-        let fs = 128.0;
-        let cfg = StreamConfig::non_overlapping(fs, 30.0).unwrap();
-        let alarm_cfg = crate::alarm::AlarmConfig::k_of_n(1, 2);
-        let streams: Vec<Vec<f64>> = [0.7, 0.9]
-            .iter()
-            .map(|&rr| synth_ecg(fs, 95.0, rr))
-            .collect();
-        let e: SharedEngine = Arc::new(ConstEngine(1.0));
-        let outcomes =
-            run_streams_parallel_alarmed(&e, cfg, Some(alarm_cfg), &streams, 640).unwrap();
-        for (outcome, samples) in outcomes.iter().zip(streams.iter()) {
-            let mut solo = StreamingSession::with_alarms(Arc::clone(&e), cfg, alarm_cfg).unwrap();
-            for chunk in samples.chunks(640) {
-                solo.push_samples(chunk);
-            }
-            assert_eq!(outcome.alarms, solo.take_alarms());
-            assert!(!outcome.alarms.is_empty());
-            assert_eq!(outcome.stats.alarms, outcome.alarms.len() as u64);
-        }
-        // Without an alarm stage the outcomes stay alarm-free.
-        let plain = run_streams_parallel(&e, cfg, &streams, 640).unwrap();
-        assert!(plain.iter().all(|o| o.alarms.is_empty()));
-        // Invalid alarm config is rejected up front.
-        assert!(run_streams_parallel_alarmed(
-            &e,
-            cfg,
-            Some(crate::alarm::AlarmConfig::k_of_n(0, 1)),
-            &streams,
-            640
-        )
-        .is_err());
-    }
-
-    #[test]
     fn push_row_ingests_pre_extracted_rows() {
         let cfg = StreamConfig::non_overlapping(128.0, 30.0).unwrap();
         let mut s = StreamingSession::new(engine(), cfg).unwrap();
@@ -1319,10 +1161,18 @@ mod tests {
 
     #[test]
     fn pooled_throughput_is_wall_clock_not_summed_latency() {
+        let wall = |windows_decided: u64, busy_ns: u128| {
+            crate::fleet::FleetStats {
+                windows_decided,
+                busy_ns,
+                ..crate::fleet::FleetStats::default()
+            }
+            .wall_windows_per_sec()
+        };
         // Edge cases mirror windows_per_sec.
-        assert_eq!(pooled_windows_per_sec(0, 0), 0.0);
-        assert_eq!(pooled_windows_per_sec(5, 0), f64::INFINITY);
-        assert!((pooled_windows_per_sec(4, 2_000_000_000) - 2.0).abs() < 1e-12);
+        assert_eq!(wall(0, 0), 0.0);
+        assert_eq!(wall(5, 0), f64::INFINITY);
+        assert!((wall(4, 2_000_000_000) - 2.0).abs() < 1e-12);
         // Two concurrent streams, each 100 windows of 1 ms: the merged
         // serial-equivalent rate halves, the wall-clock pooled rate does
         // not — the distinction the fleet metrics are built on.
@@ -1338,22 +1188,8 @@ mod tests {
         assert!((one.windows_per_sec() - 1000.0).abs() < 1e-9);
         assert!((merged.windows_per_sec() - 1000.0).abs() < 1e-9);
         // 200 windows in the same 100 ms of wall time (perfect overlap):
-        let pooled = pooled_windows_per_sec(merged.windows, 100_000_000);
+        let pooled = wall(merged.windows, 100_000_000);
         assert!((pooled - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stream_outcomes_carry_wall_clock_time() {
-        let fs = 128.0;
-        let cfg = StreamConfig::non_overlapping(fs, 30.0).unwrap();
-        let streams: Vec<Vec<f64>> = vec![synth_ecg(fs, 95.0, 0.8)];
-        let outcomes = run_streams_parallel(&engine(), cfg, &streams, 640).unwrap();
-        let o = &outcomes[0];
-        assert!(o.wall_ns > 0);
-        assert!(o.wall_windows_per_sec() > 0.0);
-        // Wall time covers at least the summed per-window latencies of a
-        // serial replay.
-        assert!(u128::from(o.wall_ns) >= o.stats.total_latency_ns());
     }
 
     #[test]
@@ -1367,38 +1203,5 @@ mod tests {
         assert!(decisions.iter().all(|d| d.decision.is_none()));
         assert!(decisions.iter().all(|d| !d.is_seizure));
         assert_eq!(s.stats().dropped, 2);
-    }
-
-    #[test]
-    fn parallel_streams_match_single_stream_runs() {
-        let fs = 128.0;
-        let cfg = StreamConfig::non_overlapping(fs, 30.0).unwrap();
-        let streams: Vec<Vec<f64>> = [0.7, 0.85, 1.0]
-            .iter()
-            .map(|&rr| synth_ecg(fs, 95.0, rr))
-            .collect();
-        let e = engine();
-        let outcomes = run_streams_parallel(&e, cfg, &streams, 640).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        for (outcome, samples) in outcomes.iter().zip(streams.iter()) {
-            let mut solo = StreamingSession::new(Arc::clone(&e), cfg).unwrap();
-            let mut reference = Vec::new();
-            for chunk in samples.chunks(640) {
-                reference.extend(solo.push_samples(chunk));
-            }
-            assert_eq!(outcome.decisions.len(), reference.len());
-            for (a, b) in outcome.decisions.iter().zip(reference.iter()) {
-                assert_eq!(a.decision.map(f64::to_bits), b.decision.map(f64::to_bits));
-            }
-            assert_eq!(outcome.stats.windows, solo.stats().windows);
-            assert_eq!(outcome.stats.samples_in, solo.stats().samples_in);
-        }
-        // Merged stats cover the cohort.
-        let mut merged = StreamStats::default();
-        for o in &outcomes {
-            merged.merge(&o.stats);
-        }
-        assert_eq!(merged.windows, 9);
-        assert!(run_streams_parallel(&e, cfg, &streams, 0).is_err());
     }
 }

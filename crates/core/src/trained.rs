@@ -371,7 +371,7 @@ impl ClassifierEngine for FloatPipeline {
 
     /// Selects and shift-normalises straight from the borrowed rows into
     /// one dense panel (same divide-then-clamp per element as
-    /// [`normalize_block`], so bit-identical to `decision_batch` on a
+    /// `normalize_block`, so bit-identical to `decision_batch` on a
     /// gathered copy), then streams the panel through the model's tiled
     /// batch kernel. Panel and decision-value buffers are thread-local
     /// scratch recycled across calls, so steady-state fleet flushes are

@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! # ecg-features — the 53-feature set of Forooghifar et al. [6]
+//! # ecg-features — the 53-feature set of Forooghifar et al. \[6\]
 //!
 //! Feature extraction for ECG-based seizure detection, matching the layout
 //! the DATE 2019 paper starts from:

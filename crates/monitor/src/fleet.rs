@@ -25,7 +25,39 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use svm::EngineInfo;
 
-use crate::streaming::load_engine;
+/// Rebuilds a shared engine from pipeline text persisted with
+/// [`FloatPipeline::to_text`]: the float pipeline directly, or — with
+/// `bits` — the bit-accurate quantised engine on top. Persistence is
+/// bit-exact, so a fleet (or a solo
+/// [`seizure_core::stream::StreamingSession`]) restarted from the text
+/// produces decisions bit-identical to the original's. Backs
+/// [`FleetMonitor::from_saved_pipeline`].
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidConfig`] (or a wrapped [`svm::SvmError`])
+/// for malformed text, a pipeline whose selected features exceed what
+/// extraction produces, or a quantised engine that cannot be built.
+pub fn load_engine(
+    pipeline_text: &str,
+    bits: Option<BitConfig>,
+) -> Result<SharedEngine, CoreError> {
+    let p = FloatPipeline::from_text(pipeline_text)?;
+    // `from_text` cannot bound the selected indices (a pipeline does
+    // not record its raw input width), but monitors feed 53-feature
+    // rows — reject a corrupt file here, at load time, instead of
+    // panicking on the first window.
+    let n = ecg_features::N_FEATURES;
+    if let Some(&bad) = p.feature_indices().iter().find(|&&j| j >= n) {
+        return Err(CoreError::InvalidConfig(format!(
+            "persisted pipeline selects feature {bad} but extraction produces {n} features"
+        )));
+    }
+    Ok(match bits {
+        Some(b) => Arc::new(QuantizedEngine::from_pipeline(&p, b)?),
+        None => Arc::new(p),
+    })
+}
 
 /// Continuous multi-patient seizure monitor: thousands of concurrent
 /// streams, one batched inference path.
@@ -112,7 +144,7 @@ impl FleetMonitor {
     ///
     /// # Errors
     ///
-    /// The [`crate::streaming::load_engine`] failure modes plus an
+    /// The [`load_engine`] failure modes plus an
     /// invalid [`FleetConfig`].
     pub fn from_saved_pipeline(
         pipeline_text: &str,

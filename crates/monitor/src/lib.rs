@@ -14,14 +14,14 @@
 //! * [`hw`] — 40 nm accelerator cost model ([`hwmodel`]),
 //! * [`core`] — the paper's contribution: the tailored inference engine
 //!   and its three approximation passes ([`seizure_core`]),
-//! * [`streaming`] — the continuous-monitoring facade
-//!   ([`streaming::StreamingMonitor`]): chunked ECG in, per-window
-//!   decisions out, bit-identical to the batch path for every
-//!   [`svm::ClassifierEngine`] backend,
-//! * [`fleet`] — the fleet-serving facade ([`fleet::FleetMonitor`]):
+//! * [`fleet`] — the serving facade ([`fleet::FleetMonitor`]):
 //!   thousands of concurrent patient streams multiplexed over one
 //!   engine, ready windows micro-batched across patients into single
-//!   batch-kernel calls, with cohort alarm reports.
+//!   batch-kernel calls, with cohort alarm reports. A single patient
+//!   stream needs no facade: a
+//!   [`core::stream::StreamingSession`] takes chunked ECG in and
+//!   hands per-window decisions out, bit-identical to the batch path
+//!   for every [`svm::ClassifierEngine`] backend.
 //!
 //! ## Quick start
 //!
@@ -47,12 +47,10 @@ pub use seizure_core as core;
 pub use svm as ml;
 
 pub mod fleet;
-pub mod streaming;
 
 /// Most-used items in one import.
 pub mod prelude {
     pub use crate::fleet::{FleetAlarmReport, FleetMonitor};
-    pub use crate::streaming::{CohortAlarmReport, StreamingMonitor};
     pub use ecg_features::{DenseMatrix, FeatureMatrix};
     pub use ecg_sim::dataset::{DatasetSpec, Scale};
     pub use hwmodel::pipeline::AcceleratorConfig;
@@ -63,7 +61,7 @@ pub mod prelude {
     pub use seizure_core::engine::{BitConfig, QuantizedEngine};
     pub use seizure_core::eval::{loso_evaluate, loso_evaluate_events, loso_evaluate_serial};
     pub use seizure_core::fleet::{FleetConfig, FleetScheduler, FleetStats, OverloadPolicy};
-    pub use seizure_core::stream::{StreamConfig, StreamStats, WindowDecision};
+    pub use seizure_core::stream::{StreamConfig, StreamStats, StreamingSession, WindowDecision};
     pub use seizure_core::trained::FloatPipeline;
     pub use seizure_core::ExtractPrecision;
     pub use svm::{decision_is_seizure, ClassifierEngine, Kernel};

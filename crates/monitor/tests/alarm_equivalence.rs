@@ -1,21 +1,23 @@
 //! Streaming-vs-batch **alarm** equivalence on a real `Tiny` cohort —
 //! the alarm subsystem's acceptance property:
 //!
-//! For a synthesised session fed to an alarmed [`StreamingMonitor`] in
+//! For a synthesised session fed to an alarmed [`StreamingSession`] in
 //! arbitrary chunk sizes (fixed sweep plus a deterministic xorshift
 //! sweep), the raised [`AlarmEvent`]s are **identical** (every field) to
 //! running [`AlarmStateMachine::scan`] over the batch decision sequence
 //! of the same windows — for both the float pipeline and the quantised
 //! engine. Also pins the `decision == 0.0` boundary regression through
-//! `Confusion`, `classify` and streaming, and the cohort alarm report.
+//! `Confusion`, `classify` and streaming, and the fleet's cohort alarm
+//! report.
 
+use epilepsy_monitor::fleet::FleetMonitor;
 use epilepsy_monitor::prelude::*;
 use seizure_core::alarm::{
     score_events, session_decision_sequence, truth_events, AlarmStateMachine, DroppedPolicy,
     EventScoring,
 };
 use seizure_core::eval::Confusion;
-use seizure_core::stream::WindowDecision;
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 fn spec() -> &'static DatasetSpec {
@@ -46,7 +48,7 @@ impl XorShift {
 }
 
 fn run_chunked_alarmed(
-    monitor: &mut StreamingMonitor,
+    monitor: &mut StreamingSession,
     ecg: &[f64],
     mut next_len: impl FnMut() -> usize,
 ) -> (Vec<WindowDecision>, Vec<AlarmEvent>) {
@@ -114,8 +116,8 @@ fn streaming_alarms_match_batch_scan_for_both_engines() {
             );
 
             for chunk_len in [1usize, 13, 997, cfg.window_len, rec.ecg.len()] {
-                let mut monitor = StreamingMonitor::new(Arc::clone(engine), cfg).unwrap();
-                monitor.enable_alarms(alarm_cfg).unwrap();
+                let mut monitor =
+                    StreamingSession::with_alarms(Arc::clone(engine), cfg, alarm_cfg).unwrap();
                 let mut streamed = Vec::new();
                 for chunk in rec.chunks(chunk_len) {
                     monitor.push_samples(chunk);
@@ -132,8 +134,8 @@ fn streaming_alarms_match_batch_scan_for_both_engines() {
             // Deterministic xorshift sweep over random chunkings.
             let mut rng = XorShift(0xA1A2_0000 ^ name.len() as u64 ^ alarm_cfg.n as u64);
             for _round in 0..3 {
-                let mut monitor = StreamingMonitor::new(Arc::clone(engine), cfg).unwrap();
-                monitor.enable_alarms(alarm_cfg).unwrap();
+                let mut monitor =
+                    StreamingSession::with_alarms(Arc::clone(engine), cfg, alarm_cfg).unwrap();
                 let (_, streamed) = run_chunked_alarmed(&mut monitor, &rec.ecg, || {
                     1 + (rng.next() as usize) % (2 * cfg.window_len)
                 });
@@ -148,43 +150,46 @@ fn cohort_alarm_report_pools_event_metrics() {
     let spec = spec();
     let cfg =
         StreamConfig::non_overlapping(spec.scale.fs(), spec.scale.window_s()).expect("config");
-    let engine: Arc<dyn ClassifierEngine> = Arc::new(pipeline().clone());
+    let fleet_cfg = FleetConfig {
+        alarms: Some(AlarmConfig::k_of_n(1, 2)),
+        ..FleetConfig::unbounded(cfg)
+    };
+    let mut fleet = FleetMonitor::from_float_pipeline(pipeline().clone(), fleet_cfg).unwrap();
     let recs: Vec<_> = spec.sessions.iter().map(|s| s.synthesize()).collect();
-    let streams: Vec<Vec<f64>> = recs.iter().map(|r| r.ecg.clone()).collect();
-    let truth: Vec<_> = recs.iter().map(|r| truth_events(&r.seizures)).collect();
-    let alarm_cfg = AlarmConfig::k_of_n(1, 2);
+    let mut truth = BTreeMap::new();
+    for (id, rec) in recs.iter().enumerate() {
+        fleet.admit(id as u64).unwrap();
+        truth.insert(id as u64, truth_events(&rec.seizures));
+    }
+    // Raw samples in 1280-sample chunks, round-robin across patients,
+    // one flush per round.
+    let longest = recs.iter().map(|r| r.ecg.len()).max().unwrap_or(0);
+    for start in (0..longest).step_by(1280) {
+        for (id, rec) in recs.iter().enumerate() {
+            if start < rec.ecg.len() {
+                let end = (start + 1280).min(rec.ecg.len());
+                fleet.ingest(id as u64, &rec.ecg[start..end]).unwrap();
+            }
+        }
+        fleet.flush();
+    }
 
-    let report = StreamingMonitor::monitor_cohort_alarms(
-        &engine,
-        cfg,
-        alarm_cfg,
-        &streams,
-        1280,
-        Some(&truth),
-    )
-    .expect("cohort run");
-    assert_eq!(report.outcomes.len(), streams.len());
-    assert_eq!(
-        report.total_alarms(),
-        report
-            .outcomes
-            .iter()
-            .map(|o| o.alarms.len() as u64)
-            .sum::<u64>()
-    );
+    let report = fleet.cohort_report(Some(&truth)).expect("cohort report");
+    assert_eq!(report.alarms.len(), recs.len());
+    assert_eq!(report.total_alarms(), report.stream.alarms as usize);
     let events = report.events.as_ref().expect("truth supplied");
     assert_eq!(events.n_events, 8, "Tiny cohort has 8 seizures");
     assert!(events.monitored_s > 0.0);
     assert!(events.event_sensitivity().is_some());
     assert!(events.false_alarms_per_24h().is_some());
 
-    // The pooled metrics equal scoring each stream by hand.
+    // The pooled metrics equal scoring each patient's alarms by hand.
     let scoring = EventScoring::for_windows(cfg.fs, cfg.window_len);
     let mut by_hand = EventMetrics::default();
-    for (outcome, (rec, t)) in report.outcomes.iter().zip(recs.iter().zip(truth.iter())) {
+    for (id, rec) in recs.iter().enumerate() {
         by_hand.merge(&score_events(
-            &outcome.alarms,
-            t,
+            fleet.patient_alarms(id as u64),
+            &truth[&(id as u64)],
             rec.ecg.len() as f64 / rec.fs,
             &scoring,
         ));
@@ -192,21 +197,9 @@ fn cohort_alarm_report_pools_event_metrics() {
     assert_eq!(*events, by_hand);
 
     // Without ground truth the report still counts alarms.
-    let blind =
-        StreamingMonitor::monitor_cohort_alarms(&engine, cfg, alarm_cfg, &streams, 1280, None)
-            .expect("cohort run");
+    let blind = fleet.cohort_report(None).expect("cohort report");
     assert!(blind.events.is_none());
     assert_eq!(blind.total_alarms(), report.total_alarms());
-    // Mismatched truth length is rejected.
-    assert!(StreamingMonitor::monitor_cohort_alarms(
-        &engine,
-        cfg,
-        alarm_cfg,
-        &streams,
-        1280,
-        Some(&truth[..1]),
-    )
-    .is_err());
 }
 
 /// The `decision == 0.0` seizure-boundary regression, end to end: one

@@ -20,7 +20,6 @@
 
 use epilepsy_monitor::features::extract::{ExtractScratch, WindowExtractor};
 use epilepsy_monitor::prelude::*;
-use epilepsy_monitor::streaming::StreamingMonitor;
 use seizure_core::ExtractPrecision;
 use std::sync::{Arc, OnceLock};
 
@@ -254,7 +253,7 @@ fn random_chunk_streaming_replays_batch_bitwise_through_fused_kernels() {
     let labels = rec.window_labels(window_s);
 
     for seed in [7u64, 0xDEAD_BEEF, 9_000_017] {
-        let mut monitor = StreamingMonitor::new(engine.clone(), cfg).expect("monitor");
+        let mut monitor = StreamingSession::new(engine.clone(), cfg).expect("monitor");
         let mut decisions = Vec::new();
         let mut fresh = Vec::new();
         let mut fed = 0usize;
@@ -302,7 +301,7 @@ fn f32_streaming_classifies_like_f64_batch() {
     let engine: Arc<FloatPipeline> = Arc::new(p.clone());
     let extractor = WindowExtractor::new(fs);
 
-    let mut monitor = StreamingMonitor::new(engine, cfg).expect("monitor");
+    let mut monitor = StreamingSession::new(engine, cfg).expect("monitor");
     let mut decisions = Vec::new();
     let mut fresh = Vec::new();
     for chunk in rec.ecg.chunks(fs as usize) {

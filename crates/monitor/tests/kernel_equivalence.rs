@@ -14,7 +14,6 @@
 //!   bit.
 
 use epilepsy_monitor::prelude::*;
-use epilepsy_monitor::streaming::StreamingMonitor;
 use seizure_core::stream::SharedEngine;
 use std::sync::{Arc, OnceLock};
 use svm::kernel::block;
@@ -165,7 +164,7 @@ fn assert_streaming_matches_batch(engine: SharedEngine, per_row: impl Fn(&[f64])
     let cfg = StreamConfig::non_overlapping(spec.scale.fs(), window_s).expect("stream config");
     let extractor = epilepsy_monitor::features::WindowExtractor::new(rec.fs);
 
-    let mut monitor = StreamingMonitor::new(engine, cfg).expect("stream config");
+    let mut monitor = StreamingSession::new(engine, cfg).expect("stream config");
     let mut decisions = Vec::new();
     let mut fresh = Vec::new();
     for chunk in rec.ecg.chunks(rec.fs as usize) {

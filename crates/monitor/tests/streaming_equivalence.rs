@@ -1,7 +1,7 @@
 //! Streaming-vs-batch equivalence on a real `Tiny` cohort — the
 //! subsystem's acceptance property:
 //!
-//! For a synthesised session fed to [`StreamingMonitor`] in **arbitrary
+//! For a synthesised session fed to [`StreamingSession`] in **arbitrary
 //! chunk sizes** (1 sample up to the whole session, plus a deterministic
 //! xorshift sweep), the per-window decisions are **bit-identical** (f64
 //! bit patterns) to the batch path — extract the same windows, classify
@@ -9,9 +9,8 @@
 //! the quantised engine. Windows the batch path drops (failed
 //! extraction) are exactly the windows the stream marks dropped.
 
+use epilepsy_monitor::fleet::load_engine;
 use epilepsy_monitor::prelude::*;
-use epilepsy_monitor::streaming::StreamingMonitor;
-use seizure_core::stream::WindowDecision;
 use std::sync::{Arc, OnceLock};
 
 fn spec() -> &'static DatasetSpec {
@@ -106,7 +105,7 @@ impl XorShift {
 }
 
 fn run_chunked(
-    monitor: &mut StreamingMonitor,
+    monitor: &mut StreamingSession,
     ecg: &[f64],
     mut next_len: impl FnMut() -> usize,
 ) -> Vec<WindowDecision> {
@@ -153,7 +152,7 @@ fn streaming_is_bit_identical_to_batch_for_both_engines() {
         // window, the whole session.
         for chunk_len in [1usize, 13, 128, 1000, cfg.window_len, rec.ecg.len()] {
             let mut monitor =
-                StreamingMonitor::new(Arc::clone(engine), cfg).expect("monitor config");
+                StreamingSession::new(Arc::clone(engine), cfg).expect("monitor config");
             let mut decisions = Vec::new();
             let mut fresh = Vec::new();
             for chunk in rec.chunks(chunk_len) {
@@ -183,7 +182,7 @@ fn streaming_is_bit_identical_to_batch_for_both_engines() {
         let mut rng = XorShift(0xD15E_A5E5 ^ name.len() as u64);
         for _round in 0..4 {
             let mut monitor =
-                StreamingMonitor::new(Arc::clone(engine), cfg).expect("monitor config");
+                StreamingSession::new(Arc::clone(engine), cfg).expect("monitor config");
             let decisions = run_chunked(&mut monitor, &rec.ecg, || {
                 1 + (rng.next() as usize) % (2 * cfg.window_len)
             });
@@ -207,16 +206,17 @@ fn restarting_from_persisted_pipeline_is_bit_identical() {
 
     // Float engine from text.
     let text = p.to_text();
-    let mut live = StreamingMonitor::from_float_pipeline(p.clone(), cfg).unwrap();
-    let mut restored = StreamingMonitor::from_saved_pipeline(&text, None, cfg).unwrap();
+    let mut live = StreamingSession::new(Arc::new(p.clone()), cfg).unwrap();
+    let mut restored = StreamingSession::new(load_engine(&text, None).unwrap(), cfg).unwrap();
     assert_eq!(restored.engine_info(), live.engine_info());
 
     // Quantised engine rebuilt from the same text plus a bit config.
     let bits = BitConfig::paper_choice();
     let bits_restored = BitConfig::from_text(&bits.to_text()).unwrap();
-    let mut qlive = StreamingMonitor::from_quantized(p, bits, cfg).unwrap();
+    let quantized = QuantizedEngine::from_pipeline(p, bits).unwrap();
+    let mut qlive = StreamingSession::new(Arc::new(quantized), cfg).unwrap();
     let mut qrestored =
-        StreamingMonitor::from_saved_pipeline(&text, Some(bits_restored), cfg).unwrap();
+        StreamingSession::new(load_engine(&text, Some(bits_restored)).unwrap(), cfg).unwrap();
 
     // Compare the semantic fields (latency is wall-clock and may differ).
     let same = |a: &[WindowDecision], b: &[WindowDecision], label: &str| {
@@ -250,50 +250,12 @@ fn restarting_from_persisted_pipeline_is_bit_identical() {
 
 #[test]
 fn corrupt_persisted_pipeline_is_rejected_at_load_not_at_first_window() {
-    let spec = spec();
-    let cfg = StreamConfig::non_overlapping(spec.scale.fs(), spec.scale.window_s())
-        .expect("stream config");
     // Point one selected feature far past the 53 columns extraction
-    // produces: the monitor must refuse the file instead of panicking on
-    // the first classified window.
+    // produces: loading must refuse the file instead of a session
+    // panicking on the first classified window.
     let text = pipeline()
         .to_text()
         .replacen("features 0 ", "features 99999 ", 1);
-    assert!(StreamingMonitor::from_saved_pipeline(&text, None, cfg).is_err());
-}
-
-#[test]
-fn cohort_fanout_matches_per_stream_runs() {
-    let spec = spec();
-    let cfg = StreamConfig::non_overlapping(spec.scale.fs(), spec.scale.window_s())
-        .expect("stream config");
-    let engine: Arc<dyn ClassifierEngine> = Arc::new(pipeline().clone());
-    let streams: Vec<Vec<f64>> = spec
-        .sessions
-        .iter()
-        .take(3)
-        .map(|s| s.synthesize().ecg)
-        .collect();
-    let chunk_len = 1280; // 10 s packets
-    let outcomes = StreamingMonitor::monitor_cohort(&engine, cfg, &streams, chunk_len).unwrap();
-    assert_eq!(outcomes.len(), streams.len());
-    for (i, (outcome, samples)) in outcomes.iter().zip(streams.iter()).enumerate() {
-        let mut solo = StreamingMonitor::new(Arc::clone(&engine), cfg).unwrap();
-        let mut reference = Vec::new();
-        for chunk in samples.chunks(chunk_len) {
-            reference.extend(solo.push_samples(chunk));
-        }
-        assert_eq!(outcome.decisions.len(), reference.len(), "stream {i}");
-        for (a, b) in outcome.decisions.iter().zip(reference.iter()) {
-            assert_eq!(a.window_index, b.window_index);
-            assert_eq!(
-                a.decision.map(f64::to_bits),
-                b.decision.map(f64::to_bits),
-                "stream {i} window {}",
-                a.window_index
-            );
-            assert_eq!(a.is_seizure, b.is_seizure);
-        }
-        assert_eq!(outcome.stats.windows, solo.stats().windows);
-    }
+    assert!(load_engine(&text, None).is_err());
+    assert!(load_engine(&text, Some(BitConfig::paper_choice())).is_err());
 }

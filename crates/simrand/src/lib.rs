@@ -2,7 +2,7 @@
 //! # simrand — offline stand-in for the `rand` crate
 //!
 //! This workspace builds in fully offline environments, so it vendors the
-//! tiny subset of the `rand` 0.8 API that [`ecg_sim`] actually uses:
+//! tiny subset of the `rand` 0.8 API that `ecg_sim` actually uses:
 //! [`Rng::gen`], [`Rng::gen_range`] over `f64` ranges,
 //! [`SeedableRng::seed_from_u64`], [`rngs::StdRng`] and
 //! [`seq::SliceRandom::shuffle`]. The generator core is xoshiro256**

@@ -371,7 +371,7 @@ pub fn hot_alloc_pass(file: &str, toks: &[Tok]) -> Vec<Finding> {
 /// Pass 4 — float determinism: in bit-identity-critical kernel/lane
 /// modules, `mul_add` (FMA contracts the rounding step the staged
 /// reference performs) and `as f32` / `as f64` casts (precision changes
-/// outside the approved [`Scalar`] conversion helpers) are banned.
+/// outside the approved `Scalar` conversion helpers) are banned.
 /// `impl Scalar for ...` and `trait Scalar` blocks are exempt — those
 /// *are* the approved helpers.
 pub fn float_det_pass(file: &str, toks: &[Tok]) -> Vec<Finding> {

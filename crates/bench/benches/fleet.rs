@@ -36,7 +36,7 @@ const FLEET_SIZES: [usize; 3] = [64, 256, 1024];
 const ROWS_PER_PATIENT: usize = 4;
 /// Pinned executor counts for the staged flush pipeline's multi-worker
 /// rows (`*_w{k}` benches) — alongside the machine-default runs of the
-/// unsuffixed benches. On a single-core container the pools just
+/// unsuffixed benches. On a single-core container the executors just
 /// oversubscribe the core, so these rows measure dispatch overhead, not
 /// speedup; see the README's fleet bench note.
 const WORKER_VARIANTS: [usize; 3] = [1, 2, 4];

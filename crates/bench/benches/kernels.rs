@@ -1,8 +1,7 @@
 //! Perf-trajectory baseline for the micro-kernel layer: the quantised
 //! i64 fast path against its i128 reference, the tiled float batch
-//! kernel against the pre-micro-kernel naive path, persistent-pool
-//! against spawn-per-call `par_map` dispatch, and SMO training time on a
-//! real Tiny cohort (whose Gram fill runs on the same micro-kernel).
+//! kernel against the pre-micro-kernel naive path, and SMO training time
+//! on a real Tiny cohort (whose Gram fill runs on the same micro-kernel).
 //!
 //! Run with `cargo bench -p bench --bench kernels`; results land in
 //! `BENCH_kernels.json` (workspace root only when `BENCH_WRITE_BASELINE`
@@ -16,7 +15,6 @@ use fixedpoint::quantize::Quantizer;
 use seizure_core::config::FitConfig;
 use seizure_core::engine::{BitConfig, QuantizedEngine};
 use seizure_core::kernels;
-use seizure_core::parallel::{par_map_spawn_n, WorkerPool};
 use seizure_core::quickfeat::{synthetic_matrix, QuickFeatConfig};
 use seizure_core::trained::FloatPipeline;
 use svm::{ClassifierEngine, Kernel};
@@ -141,26 +139,7 @@ fn main() {
         bb(naive_decision_batch(&pipeline, &matrix.features))
     });
 
-    // --- (3) par_map dispatch: persistent pool vs spawn-per-call ---
-    // Fixed executor counts (3 workers + caller vs 4 spawned threads) so
-    // the comparison is dispatch overhead, not machine width. The items
-    // are deliberately cheap: this times the harness, not the work.
-    let pool = WorkerPool::new(3);
-    let items: Vec<u64> = (0..64).collect();
-    let busy = |&i: &u64| -> u64 {
-        let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for _ in 0..32 {
-            x ^= x >> 29;
-            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        }
-        x
-    };
-    let pool_ns = h.bench("par_map_pool_64_items", || bb(pool.par_map(&items, busy)));
-    let spawn_ns = h.bench("par_map_spawn_64_items", || {
-        bb(par_map_spawn_n(&items, 4, busy))
-    });
-
-    // --- (4) SMO training on a real Tiny cohort (micro-kernel Gram) ---
+    // --- (3) SMO training on a real Tiny cohort (micro-kernel Gram) ---
     // The cohort build is itself expensive; skip it when the benchmark
     // is filtered out.
     let smo_train = if h.enabled("smo_train_tiny") {
@@ -186,10 +165,6 @@ fn main() {
     println!(
         "  float tiled vs naive batch:    {:.2}x",
         float_naive / float_tiled
-    );
-    println!(
-        "  par_map pool vs spawn:         {:.2}x",
-        spawn_ns / pool_ns
     );
 
     let workers = seizure_core::parallel::worker_count(usize::MAX);
@@ -229,10 +204,6 @@ fn main() {
             (
                 "float_tiled_vs_naive_speedup",
                 format!("{:.3}", float_naive / float_tiled),
-            ),
-            (
-                "par_map_pool_vs_spawn_speedup",
-                format!("{:.3}", spawn_ns / pool_ns),
             ),
             ("smo_train_tiny_ms", format!("{:.2}", smo_train / 1e6)),
         ],

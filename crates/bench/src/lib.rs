@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Minimal benchmark harness (offline stand-in for criterion).
 //!
 //! The container this workspace builds in has no registry access, so the

@@ -475,8 +475,8 @@ impl QuantizedEngine {
 
     /// Shared batch skeleton: on the exact path, encodes every row into
     /// the same thread-local code scratch the per-row path uses (so
-    /// panel serving is allocation-free per call and each pool worker
-    /// keeps its own warm buffer) and maps its decision code through
+    /// panel serving is allocation-free per call and each executor
+    /// thread keeps its own buffer) and maps its decision code through
     /// `map_code`; wide configs run `float_sim` per row. All batch
     /// entry points (decision, classify, i128 reference, row panels)
     /// are instances. The `code_of` callbacks must not touch

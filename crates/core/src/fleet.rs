@@ -7,7 +7,7 @@
 //! owns N per-patient [`StreamingSession`]s, accepts
 //! [`FleetScheduler::ingest`] calls in arbitrary patient interleavings,
 //! and each [`FleetScheduler::flush`] drives a three-stage pipeline over
-//! the fleet's [`crate::parallel::WorkerPool`] executors:
+//! the fleet's executors (the flushing caller plus scoped threads):
 //!
 //! ```text
 //! ingest(p, chunk) ──► window p     (raw samples, one copy into the
@@ -18,13 +18,14 @@
 //!   │ stage 1 · fleet-wide lane-batched extraction                │
 //!   │   every window completed since the last flush, whatever     │
 //!   │   patient it belongs to, joins a lane group of up to 8;     │
-//!   │   executors claim whole groups (par_map_mut) and run the    │
-//!   │   SoA lane kernels on windows read in place from their      │
-//!   │   assembly buffers — then the extracted windows join the    │
+//!   │   executors claim whole groups (par_map_with), each with    │
+//!   │   its own lane scratch, and run the SoA lane kernels on     │
+//!   │   windows read in place from their assembly buffers —       │
+//!   │   then the extracted windows join the                       │
 //!   │   pending queues replayed in ingest order (overload policy) │
 //!   │ stage 2 · parallel panel fan-out                            │
 //!   │   ready rows across all queues → panels of 256 row refs →   │
-//!   │   decision_rows_into fanned across the pool via par_map     │
+//!   │   decision_rows_into fanned across the executors (par_map)  │
 //!   │   (order-preserving, so panel k's values land at offset     │
 //!   │   256·k exactly as a serial loop would place them)          │
 //!   │ stage 3 · ordered route-back                                │
@@ -113,12 +114,12 @@
 use crate::alarm::{AlarmConfig, AlarmEvent};
 use crate::clock::{FleetClock, LatencyHistogram, TickConfig, TickOutcome};
 use crate::error::CoreError;
-use crate::parallel::WorkerPool;
+use crate::parallel::{par_map_n, par_map_with, worker_count};
 use crate::stream::{
     extract_group, ExtractJob, PendingWindow, SharedEngine, StreamConfig, StreamStats,
     StreamingSession, WindowDecision, LANE_GROUP,
 };
-use ecg_features::extract::WindowExtractor;
+use ecg_features::extract::{BatchExtractScratch, WindowExtractor};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,7 +131,7 @@ pub type PatientId = u64;
 /// [`FleetScheduler::flush`]. Panelling keeps a huge fleet's flush
 /// working set cache-sized (256 rows × 53 features ≈ 106 KiB) instead
 /// of streaming one multi-megabyte batch through the kernels, and is
-/// the grain the parallel fan-out distributes across pool workers; it
+/// the grain the parallel fan-out distributes across executors; it
 /// cannot change results because batch decisions are bit-identical to
 /// per-row decisions.
 pub const FLUSH_PANEL_ROWS: usize = 256;
@@ -181,11 +182,11 @@ pub struct FleetConfig {
     /// What to shed when `max_pending_rows` is reached.
     pub overload: OverloadPolicy,
     /// Executors for the flush pipeline's parallel stages (sharded
-    /// extraction, panel fan-out). `None` = size to the machine via the
-    /// shared global pool; `Some(n)` = exactly `n` executors (`1` runs
-    /// fully serial on the caller; `n ≥ 2` builds a fleet-owned pool of
-    /// `n − 1` persistent workers, the submitting caller being the
-    /// n-th). Must be `>= 1`. Every executor set runs the same
+    /// extraction, panel fan-out). `None` = size to the machine
+    /// ([`crate::parallel::worker_count`]); `Some(n)` = exactly `n`
+    /// executors (`1` runs fully serial on the caller; `n ≥ 2` adds
+    /// `n − 1` scoped threads to the flushing caller for each parallel
+    /// stage). Must be `>= 1`. Every executor set runs the same
     /// schedule (see the module docs); the count cannot change results,
     /// only wall-clock.
     pub workers: Option<usize>,
@@ -464,61 +465,10 @@ impl Slot {
     }
 }
 
-/// Where a flush's parallel stages run, resolved once from
-/// [`FleetConfig::workers`].
-#[derive(Debug)]
-enum FlushExec {
-    /// `workers = Some(1)`: everything on the flushing caller.
-    Serial,
-    /// `workers = Some(n ≥ 2)`: a fleet-owned pool of `n − 1` workers
-    /// (the caller participates as the n-th executor).
-    Owned(WorkerPool),
-    /// `workers = None`: the machine-sized global pool.
-    Global,
-}
-
-impl FlushExec {
-    /// Total executors a dispatch uses (pool workers + the caller).
-    fn executors(&self) -> usize {
-        match self {
-            FlushExec::Serial => 1,
-            FlushExec::Owned(pool) => pool.workers() + 1,
-            FlushExec::Global => crate::parallel::global_pool().workers() + 1,
-        }
-    }
-
-    /// Order-preserving map over shared items on this executor set.
-    fn par_map<T, R>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-    {
-        match self {
-            FlushExec::Serial => items.iter().map(f).collect(),
-            FlushExec::Owned(pool) => pool.par_map(items, f),
-            FlushExec::Global => crate::parallel::par_map(items, f),
-        }
-    }
-
-    /// Order-preserving map over mutable items on this executor set.
-    fn par_map_mut<T, R>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-    {
-        match self {
-            FlushExec::Serial => items.iter_mut().map(f).collect(),
-            FlushExec::Owned(pool) => pool.par_map_mut(items, f),
-            FlushExec::Global => crate::parallel::par_map_mut(items, f),
-        }
-    }
-}
-
 /// Multiplexes N per-patient [`StreamingSession`]s over one shared
 /// engine, micro-batching ready feature rows across patients into
 /// panelled [`svm::ClassifierEngine::decision_rows_into`] calls fanned across
-/// a persistent worker pool (see the module docs for the staged
-/// pipeline).
+/// the flush executors (see the module docs for the staged pipeline).
 ///
 /// ```no_run
 /// use seizure_core::fleet::{FleetConfig, FleetScheduler};
@@ -563,8 +513,13 @@ pub struct FleetScheduler {
     /// Reused work list of the fleet-wide extract stage: every window
     /// assembled since the last flush, in (patient asc, window) order.
     extract_jobs: Vec<ExtractJob>,
-    /// Executors for the flush pipeline's parallel stages.
-    exec: FlushExec,
+    /// Executors for the flush pipeline's parallel stages, resolved
+    /// once from [`FleetConfig::workers`].
+    executors: usize,
+    /// One lane-batch extraction scratch per executor: the SoA buffers
+    /// are sized by `window_len × 8`, so they stay warm across flushes
+    /// instead of being re-faulted by each flush's fresh scoped threads.
+    batch_scratch: Vec<BatchExtractScratch>,
     /// The serving clock when the fleet is tick-driven
     /// ([`FleetConfig::tick`]); `None` = caller-driven flushes, no
     /// arrival stamping.
@@ -586,15 +541,15 @@ impl std::fmt::Debug for FleetScheduler {
         f.debug_struct("FleetScheduler")
             .field("cfg", &self.cfg)
             .field("engine", &self.engine.info())
-            .field("exec", &self.exec)
+            .field("executors", &self.executors)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl FleetScheduler {
-    /// Builds an empty fleet over a shared engine. `Some(n ≥ 2)` flush
-    /// workers spawn the fleet's own persistent pool here, up front.
+    /// Builds an empty fleet over a shared engine. No thread is spawned
+    /// here: each flush runs its parallel stages on scoped threads.
     ///
     /// # Errors
     ///
@@ -606,11 +561,7 @@ impl FleetScheduler {
         // Validate the stream configuration once, up front, with a probe
         // session — admits can then only fail on duplicate ids.
         StreamingSession::new(Arc::clone(&engine), cfg.stream)?;
-        let exec = match cfg.workers {
-            None => FlushExec::Global,
-            Some(1) => FlushExec::Serial,
-            Some(n) => FlushExec::Owned(WorkerPool::new(n - 1)),
-        };
+        let executors = cfg.workers.unwrap_or(worker_count(usize::MAX));
         let clock = match cfg.tick {
             Some(t) => Some(FleetClock::new(t)?),
             None => None,
@@ -626,7 +577,10 @@ impl FleetScheduler {
             values: Vec::new(),
             extractor: WindowExtractor::with_precision(cfg.stream.fs, cfg.stream.precision),
             extract_jobs: Vec::new(),
-            exec,
+            executors,
+            batch_scratch: (0..executors)
+                .map(|_| BatchExtractScratch::default())
+                .collect(),
             clock,
             fair_cursor: 0,
             tick_arrivals: Vec::new(),
@@ -638,12 +592,11 @@ impl FleetScheduler {
         self.cfg
     }
 
-    /// Executors the flush pipeline's parallel stages use (pool workers
-    /// plus the flushing caller) — resolved from
-    /// [`FleetConfig::workers`], so `None` reports the machine-default
-    /// pool's width.
+    /// Executors the flush pipeline's parallel stages use (the flushing
+    /// caller plus scoped threads) — resolved from
+    /// [`FleetConfig::workers`], so `None` reports the machine's width.
     pub fn flush_executors(&self) -> usize {
-        self.exec.executors()
+        self.executors
     }
 
     /// Fleet-level counters.
@@ -858,12 +811,12 @@ impl FleetScheduler {
 
     /// Decides every pending window across the fleet through the staged
     /// pipeline: (1) sessions with buffered raw samples run their
-    /// extract stage shard-parallel on the worker pool, each into its
+    /// extract stage shard-parallel on the flush executors, each into its
     /// own slot (their windows then replay into the pending queues in
     /// fleet-wide ingest order, under the overload policy); (2) every
     /// buffered feature row is gathered by reference into
     /// [`FLUSH_PANEL_ROWS`]-row panels and the panels fan out across
-    /// the pool through [`svm::ClassifierEngine::decision_rows_into`];
+    /// the executors through [`svm::ClassifierEngine::decision_rows_into`];
     /// (3) decisions scatter back through each session's decide stage
     /// (stats, alarm state machine, pending-alarm buffer) in
     /// (patient asc, window) order. Windows without a row
@@ -907,11 +860,11 @@ impl FleetScheduler {
             // by the queue depth.
             .collect();
         let kt0 = Instant::now();
-        if panel_rows.len() > FLUSH_PANEL_ROWS && self.exec.executors() > 1 {
+        if panel_rows.len() > FLUSH_PANEL_ROWS && self.executors > 1 {
             // lint: allow(hot-alloc) — same per-flush ref staging as above.
             let panels: Vec<&[&[f64]]> = panel_rows.chunks(FLUSH_PANEL_ROWS).collect();
             let engine = &self.engine;
-            let panel_values = self.exec.par_map(&panels, |panel| {
+            let panel_values = par_map_n(&panels, self.executors, |panel| {
                 // lint: allow(hot-alloc) — per-executor output buffer; results
                 // must be owned to cross the parallel boundary back to the
                 // caller, so shared scratch cannot serve here.
@@ -1125,15 +1078,15 @@ impl FleetScheduler {
             slot.session.drain_assembled(idx, &mut jobs);
         }
         if !jobs.is_empty() {
-            let executors = self.exec.executors();
-            let group_len = jobs.len().div_ceil(executors).clamp(1, LANE_GROUP);
+            let group_len = jobs.len().div_ceil(self.executors).clamp(1, LANE_GROUP);
             // lint: allow(hot-alloc) — per-flush staging of borrowed group
             // slices (pointer-sized entries, one per lane group): the borrows
             // are tied to this flush's work list.
             let mut groups: Vec<&mut [ExtractJob]> = jobs.chunks_mut(group_len).collect();
             let extractor = &self.extractor;
-            self.exec
-                .par_map_mut(&mut groups, |group| extract_group(extractor, group));
+            par_map_with(&mut self.batch_scratch, &mut groups, |scratch, group| {
+                extract_group(extractor, scratch, group)
+            });
         }
         for job in jobs.drain(..) {
             let slot = &mut self.slots[job.owner];

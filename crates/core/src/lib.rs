@@ -1,4 +1,3 @@
-#![deny(unsafe_op_in_unsafe_fn)]
 //! # seizure-core — tailored SVM inference for ECG-based epilepsy monitors
 //!
 //! The primary contribution of Ferretti et al. (DATE 2019), reproduced in
@@ -36,9 +35,10 @@
 //! On top of that layout sits the parallel evaluation layer
 //! ([`parallel`]): leave-one-session-out folds ([`eval`]), design-space
 //! sweep points ([`explore`]), bit-grid folds ([`bitwidth`]) and the
-//! Fig 7 stages ([`combine`]) fan out across OS threads. Folds and points
-//! are independent and aggregation order is fixed, so every parallel path
-//! is bit-identical to its sequential twin ([`eval::loso_evaluate`] vs
+//! Fig 7 stages ([`combine`]) fan out across scoped OS threads, in safe
+//! code like the rest of the workspace. Folds and points are independent
+//! and aggregation order is fixed, so every parallel path is
+//! bit-identical to its sequential twin ([`eval::loso_evaluate`] vs
 //! [`eval::loso_evaluate_serial`] — pinned by the test suite).
 //!
 //! ## Module map
@@ -51,7 +51,7 @@
 //! * [`eval`] — paper Eq 2 metrics under parallel LOSO cross-validation;
 //! * [`explore`], [`bitwidth`], [`combine`] — the Figs 4–7 design-space
 //!   machinery;
-//! * [`parallel`] — the deterministic thread-fan-out substrate;
+//! * [`parallel`] — the deterministic scoped-thread fan-out substrate;
 //! * [`stream`] — incremental inference: ring buffer → window scheduler →
 //!   scratch-reusing extraction → any [`svm::ClassifierEngine`], with
 //!   per-window latency histograms, an optional online alarm stage and

@@ -7,9 +7,9 @@
 //! window completes. [`StreamingSession`] bridges the two worlds:
 //!
 //! ```text
-//! push_samples(chunk) ─► WindowAssembler ─► extract_batch
+//! push_samples(chunk) ─► WindowAssembler ─► extract_batch_into
 //!                        (biodsp; one copy   (lane groups of up to 8,
-//!                         per sample)         per-thread scratch)
+//!                         per sample)         reused lane scratch)
 //!                                                  │
 //!                       WindowDecision ◄── ClassifierEngine ◄──┘
 //! ```
@@ -44,7 +44,7 @@ use crate::clock::LatencyHistogram;
 use crate::error::CoreError;
 use biodsp::stream::{AssembledWindow, WindowAssembler};
 use biodsp::ExtractPrecision;
-use ecg_features::extract::WindowExtractor;
+use ecg_features::extract::{BatchExtractScratch, WindowExtractor};
 use ecg_features::N_FEATURES;
 use std::sync::Arc;
 use std::time::Instant;
@@ -272,6 +272,10 @@ pub struct StreamingSession {
     assembled: Vec<AssembledWindow>,
     /// Reused work list of the solo lane-group drain.
     jobs: Vec<ExtractJob>,
+    /// Lane scratch of the solo drain, built on first use. A fleet's
+    /// sessions never drain solo (the fleet extracts on its own
+    /// per-executor scratch), so they stay one pointer wide.
+    batch_scratch: Option<Box<BatchExtractScratch>>,
     extractor: WindowExtractor,
     stats: StreamStats,
     /// Optional alarm stage folding decisions into alarms online.
@@ -314,14 +318,18 @@ pub(crate) struct ExtractJob {
 }
 
 /// Extracts one lane group of at most [`LANE_GROUP`] jobs through
-/// [`WindowExtractor::extract_batch`] (lane scratch per thread, so any
-/// executor can take any group), reading each window in place from its
-/// assembly buffer. Every row is bit-identical to extracting its window
-/// alone, whichever windows share its group. The group runs as one
-/// unit, so each window carries an even share of the group's wall clock
-/// (the first absorbs the remainder) — per-window latency stays
-/// meaningful while the sum stays exact.
-pub(crate) fn extract_group(extractor: &WindowExtractor, group: &mut [ExtractJob]) {
+/// [`WindowExtractor::extract_batch_into`] on the executor's `scratch`,
+/// reading each window in place from its assembly buffer. Every row is
+/// bit-identical to extracting its window alone, whichever windows
+/// share its group. The group runs as one unit, so each window carries
+/// an even share of the group's wall clock (the first absorbs the
+/// remainder) — per-window latency stays meaningful while the sum stays
+/// exact.
+pub(crate) fn extract_group(
+    extractor: &WindowExtractor,
+    scratch: &mut BatchExtractScratch,
+    group: &mut [ExtractJob],
+) {
     debug_assert!(group.len() <= LANE_GROUP, "one lane group at a time");
     let n = group.len().min(LANE_GROUP);
     if n == 0 {
@@ -337,7 +345,8 @@ pub(crate) fn extract_group(extractor: &WindowExtractor, group: &mut [ExtractJob
     for (w, job) in windows.iter_mut().zip(group.iter()) {
         *w = &job.window.samples;
     }
-    extractor.extract_batch(windows.get(..n).unwrap_or_default(), |j, result| {
+    let windows = windows.get(..n).unwrap_or_default();
+    extractor.extract_batch_into(windows, scratch, |j, result| {
         if let (Ok(values), Some(row), Some(flag)) = (result, rows.get_mut(j), ok.get_mut(j)) {
             row.clear();
             row.extend_from_slice(values);
@@ -397,6 +406,7 @@ impl StreamingSession {
             assembler,
             assembled: Vec::new(),
             jobs: Vec::new(),
+            batch_scratch: None,
             stats: StreamStats::default(),
             alarm: None,
             pending_alarms: Vec::new(),
@@ -593,7 +603,8 @@ impl StreamingSession {
         }
         let mut jobs = std::mem::take(&mut self.jobs);
         self.drain_assembled(0, &mut jobs);
-        extract_group(&self.extractor, &mut jobs);
+        let scratch = self.batch_scratch.get_or_insert_with(Box::default);
+        extract_group(&self.extractor, scratch, &mut jobs);
         for job in jobs.drain(..) {
             pending.push(self.finish_extracted(job));
         }
@@ -773,8 +784,8 @@ mod tests {
 
     #[test]
     fn sessions_are_send() {
-        // The fleet's sharded extract stage moves `&mut` sessions onto
-        // pool workers; pin the auto-trait so a future non-Send field
+        // The fleet's flush hands session-owned windows to scoped
+        // executor threads; pin the auto-trait so a future non-Send field
         // (Rc, raw pointer) fails here, not deep in the fleet.
         fn is_send<T: Send>() {}
         is_send::<StreamingSession>();

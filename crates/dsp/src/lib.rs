@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # biodsp — bio-signal DSP substrate
 //!
 //! Signal-processing building blocks used by the ECG-based epilepsy-monitor

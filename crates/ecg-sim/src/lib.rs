@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # ecg-sim — synthetic ECG dataset generator
 //!
 //! Stand-in for the clinical cohort used by Ferretti et al. (DATE 2019):

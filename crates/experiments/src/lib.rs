@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Shared harness for the paper-regeneration binaries.
 //!
 //! Every binary accepts the same flags:

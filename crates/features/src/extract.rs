@@ -89,28 +89,6 @@ thread_local! {
     /// callers (matrix builders, tests, tools) get warm buffers instead of
     /// re-allocating a full [`ExtractScratch`] per window.
     static ONE_SHOT_SCRATCH: RefCell<ExtractScratch> = RefCell::new(ExtractScratch::default());
-    /// Scratch for [`WindowExtractor::extract_batch`]: the lane-group
-    /// SoA buffers are sized by `window_len × L`, so they live
-    /// per-*thread*, not per-session — a fleet worker reuses one set
-    /// across every session it touches instead of pinning one per
-    /// patient.
-    static BATCH_SCRATCH: RefCell<BatchExtractScratch> =
-        RefCell::new(BatchExtractScratch::default());
-}
-
-/// Drops this thread's extraction scratch (the one-shot
-/// [`ExtractScratch`] and the lane-batch [`BatchExtractScratch`]) back
-/// to empty, releasing every buffer's capacity.
-///
-/// The thread-local scratches grow to the *largest* window and lane
-/// group a thread ever processed and normally stay there — right for a
-/// hot loop, wrong for a long-lived fleet worker that served one
-/// outsized cohort hours ago. Workers call this between cohorts (or on
-/// patient-churn lulls) to un-pin peak-window capacity; the next
-/// extraction simply re-warms.
-pub fn trim_thread_scratch() {
-    ONE_SHOT_SCRATCH.with(|s| *s.borrow_mut() = ExtractScratch::default());
-    BATCH_SCRATCH.with(|s| *s.borrow_mut() = BatchExtractScratch::default());
 }
 
 impl WindowExtractor {
@@ -283,19 +261,6 @@ impl WindowExtractor {
         }
     }
 
-    /// [`WindowExtractor::extract_batch_into`] over this thread's
-    /// shared scratch (see [`trim_thread_scratch`] for the release
-    /// hook). The fleet's per-worker extraction shards and the batch
-    /// assembler route through here so SoA buffers are per-thread, not
-    /// per-session.
-    pub fn extract_batch(
-        &self,
-        windows: &[&[f64]],
-        sink: impl FnMut(usize, Result<&[f64], FeatureError>),
-    ) {
-        BATCH_SCRATCH.with(|s| self.extract_batch_into(windows, &mut s.borrow_mut(), sink));
-    }
-
     /// One L-wide lane group: lane detection, then the scalar tail per
     /// lane. A group-level detection error (too-short windows — the
     /// group shares one length) re-runs each window through the scalar
@@ -398,7 +363,7 @@ pub struct ExtractScratch {
 /// instantiations stay empty `Vec`s — a few pointers each), the shared
 /// per-lane detections/row, and a scalar [`ExtractScratch`] for ragged
 /// tails and fallback. Buffers are sized by `window_len × L`, so keep
-/// one per *thread* (see [`WindowExtractor::extract_batch`]), not per
+/// one per *executor* (a fleet holds one per flush executor), not per
 /// session.
 #[derive(Debug, Default)]
 pub struct BatchExtractScratch {
@@ -570,9 +535,10 @@ mod tests {
         let mut scalar = ExtractScratch::default();
         let mut want_row = Vec::new();
         let mut seen = 0usize;
-        // Thread-local-scratch entry point, f32 lanes: still bitwise
-        // against the scalar f32 path.
-        extractor.extract_batch(&refs, |j, r| {
+        // One 8-lane f32 group: still bitwise against the scalar f32
+        // path.
+        let mut scratch = BatchExtractScratch::default();
+        extractor.extract_batch_into(&refs, &mut scratch, |j, r| {
             let want = extractor.extract_into(refs[j], &mut scalar, &mut want_row);
             assert_eq!(r.is_ok(), want.is_ok());
             if let Ok(row) = r {
@@ -583,7 +549,6 @@ mod tests {
             seen += 1;
         });
         assert_eq!(seen, refs.len());
-        trim_thread_scratch();
     }
 
     #[test]

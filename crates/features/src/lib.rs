@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # ecg-features — the 53-feature set of Forooghifar et al. \[6\]
 //!
 //! Feature extraction for ECG-based seizure detection, matching the layout

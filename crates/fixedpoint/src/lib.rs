@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # fixedpoint — quantisation substrate for the tailored inference engine
 //!
 //! Implements the paper's Section III "Reducing bitwidths" machinery:

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # hwmodel — parametric 40 nm cost model for the SVM inference accelerator
 //!
 //! The paper evaluates every design point by synthesising the Fig 2

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # epilepsy-monitor — facade crate
 //!
 //! One-stop re-export of the full reproduction stack for *Tailoring SVM

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # simrand — offline stand-in for the `rand` crate
 //!
 //! This workspace builds in fully offline environments, so it vendors the

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # svm — from-scratch C-SVC support vector machine
 //!
 //! A dependency-free implementation of the soft-margin support vector

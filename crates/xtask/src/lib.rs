@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # xtask — repo-native static analysis
 //!
 //! Offline, dependency-free linter (`cargo run -p xtask -- lint`)

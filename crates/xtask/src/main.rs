@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! CLI for the repo-native static analysis. See the library docs
 //! (`xtask` crate) and README "Static analysis" for the rule catalogue.
 //!

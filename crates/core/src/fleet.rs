@@ -106,7 +106,8 @@
 //! * [`FleetScheduler::ingest_row`] — pre-extracted 53-feature rows; the
 //!   on-device-extraction topology where wearables run DSP locally and
 //!   the fleet spends its cycles purely on classification, which is
-//!   where cross-patient batching pays (see `BENCH_fleet.json`).
+//!   where cross-patient batching pays (fleetbench's `row_serve`
+//!   workload measures it).
 
 // lint: allow-file(hot-index) — scheduler bookkeeping: slot/queue offsets are
 // maintained by the fleet's own maps and cursors; each is re-derived from the
@@ -291,12 +292,15 @@ pub struct FleetStats {
     pub shed_windows: u64,
     /// Pending windows discarded undecided by [`FleetScheduler::remove`].
     pub discarded_windows: u64,
-    /// Wall-clock nanoseconds spent inside raw-sample ingestion and
-    /// flushes — the denominator of the fleet's serving throughput.
-    /// [`FleetScheduler::ingest_row`] is deliberately not timed: it is
-    /// a plain buffered copy, and a per-row clock read would cost as
-    /// much as the work it measures; the rows' real cost (the batch
-    /// kernels, the route-back) runs, and is timed, inside the flush.
+    /// Wall-clock nanoseconds spent inside flushes (and so inside
+    /// ticks) — the denominator of
+    /// [`FleetStats::wall_windows_per_sec`]. Neither ingest path reads
+    /// the clock per call: [`FleetScheduler::ingest`] and
+    /// [`FleetScheduler::ingest_row`] only copy and count, and a
+    /// wall-clock pair (about 90 ns on a 2-vCPU x86-64 host) would cost
+    /// about a quarter of a 1-s chunk's ingest. Every kernel a window
+    /// needs — extraction, classification, route-back, alarms — runs,
+    /// and is timed, inside the flush.
     pub busy_ns: u128,
     /// Nanoseconds attributed to feature extraction across every decided
     /// window — the per-window `extract_ns` figures summed at route-back.
@@ -330,10 +334,14 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// Wall-clock serving throughput: windows decided per second of
-    /// fleet busy time. This is the pooled figure the summed per-window
-    /// latencies of a merged [`StreamStats`] cannot provide (they treat
-    /// concurrent work as serial — see [`StreamStats::windows_per_sec`]).
+    /// Windows decided per **flush-second**: per second of wall time
+    /// inside flushes ([`FleetStats::busy_ns`]). Ingest copies and the
+    /// caller's own time between flushes are not in the denominator, so
+    /// this is the rate of the fleet's decision pipeline, not a
+    /// whole-process rate. It is the pooled figure the summed
+    /// per-window latencies of a merged [`StreamStats`] cannot provide
+    /// (they treat concurrent work as serial — see
+    /// [`StreamStats::windows_per_sec`]).
     /// `0.0` before any window is decided; `INFINITY` when windows were
     /// decided in sub-resolution busy time, mirroring
     /// [`StreamStats::windows_per_sec`].
@@ -742,6 +750,13 @@ impl FleetScheduler {
     /// fleet-wide in 8-lane groups and replays them into the pending
     /// queues in fleet-wide ingest order.
     ///
+    /// The call only copies and counts. It reads no wall clock, so it
+    /// adds nothing to [`FleetStats::busy_ns`]: a clock pair would cost
+    /// about a quarter of a 1-s chunk's ingest, and a 3-min window takes
+    /// 180 such chunks. A serving clock ([`FleetConfig::tick`]) is read
+    /// once per chunk that *completes* a window, to stamp its arrival
+    /// for [`FleetStats::decision_latency`].
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an unknown patient, or a
@@ -749,7 +764,6 @@ impl FleetScheduler {
     /// two ingest modes number windows independently and must not mix
     /// on one session).
     pub fn ingest(&mut self, patient: PatientId, chunk: &[f64]) -> Result<usize, CoreError> {
-        let t0 = Instant::now();
         let Some(idx) = self.slot_index_cached(patient) else {
             return Err(CoreError::InvalidConfig(format!(
                 "patient {patient} is not admitted"
@@ -772,7 +786,6 @@ impl FleetScheduler {
             self.stats.pending_windows += completed;
         }
         self.stats.ingests += 1;
-        self.stats.busy_ns += t0.elapsed().as_nanos();
         Ok(completed)
     }
 
@@ -787,14 +800,13 @@ impl FleetScheduler {
     /// patient already fed through [`FleetScheduler::ingest`] (the
     /// ingest modes must not mix on one session).
     pub fn ingest_row(&mut self, patient: PatientId, row: Option<&[f64]>) -> Result<(), CoreError> {
-        // Deliberately no per-call timer here: row ingestion is a plain
-        // buffered copy, and on the row-serving hot path two clock
-        // reads per row would cost as much as the bookkeeping they
-        // measure — batching amortizes the clock per panel at flush
-        // time instead (see `FleetStats::busy_ns`). A *serving* clock
-        // (`FleetConfig::tick`) does stamp each row's arrival — that
-        // single read is what decision-latency histograms are made of,
-        // and a virtual clock reads for free.
+        // No per-call timer, as on the raw path (`ingest`): row
+        // ingestion is a buffered copy, and two clock reads per row
+        // would cost as much as the bookkeeping they measure. Busy time
+        // is read once per flush instead (see `FleetStats::busy_ns`).
+        // A *serving* clock (`FleetConfig::tick`) does stamp each row's
+        // arrival — that single read is what decision-latency
+        // histograms are made of, and a virtual clock reads for free.
         let Some(idx) = self.slot_index_cached(patient) else {
             return Err(CoreError::InvalidConfig(format!(
                 "patient {patient} is not admitted"
@@ -1490,6 +1502,30 @@ mod tests {
             assert_eq!(fleet.stats().discarded_windows, 1);
             assert_eq!(fleet.stats().pending_windows, 0);
         }
+    }
+
+    #[test]
+    fn raw_ingest_is_untimed_and_busy_time_is_flush_time() {
+        // `ingest` reads no clock: chunks only copy and count, whether or
+        // not they complete a window. Busy time starts with the flush.
+        let mut fleet = FleetScheduler::new(engine(), cfg()).unwrap();
+        fleet.admit(1).unwrap();
+        fleet.admit(2).unwrap();
+        for _ in 0..3 {
+            assert_eq!(fleet.ingest(1, &[0.0; 1000]).unwrap(), 0);
+            assert_eq!(fleet.ingest(2, &[0.0; 500]).unwrap(), 0);
+        }
+        assert_eq!(fleet.stats().busy_ns, 0);
+        assert_eq!(fleet.stats().ingests, 6);
+        assert_eq!(fleet.stream_stats().samples_in, 4500);
+        // A chunk that completes a window is untimed as well.
+        assert_eq!(fleet.ingest(1, &[0.0; 840]).unwrap(), 1);
+        assert_eq!(fleet.stats().busy_ns, 0);
+        // The flush that extracts and decides it is timed.
+        assert_eq!(fleet.flush().decisions.len(), 1);
+        let stats = fleet.stats();
+        assert!(stats.busy_ns > 0);
+        assert_eq!(stats.windows_decided, 1);
     }
 
     #[test]

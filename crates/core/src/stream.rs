@@ -223,7 +223,7 @@ impl StreamStats {
     /// `total_latency_ns` across concurrent streams treats parallel work
     /// as serial, so the pooled figure *under-reports* fleet throughput
     /// by up to the concurrency factor. For the cohort-level rate use the
-    /// fleet's wall-clock figure instead
+    /// fleet's wall-clock figure over flush time instead
     /// ([`crate::fleet::FleetStats::wall_windows_per_sec`]).
     /// The serial-equivalent number remains meaningful on merged stats as
     /// a *per-core cost* metric — windows per CPU-second — just not as a

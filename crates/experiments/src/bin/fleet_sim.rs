@@ -4,11 +4,15 @@
 //! ground truth, and a backpressure demonstration for both
 //! [`OverloadPolicy`] variants.
 //!
-//! Prints the fleet's wall-clock serving throughput next to the
-//! serial-equivalent figure from merged per-session stats — the number
-//! that used to be the only one available, and that under-reports a
-//! concurrent fleet (summed per-window latencies treat parallel work as
-//! serial).
+//! Prints the fleet's flush-time throughput — windows decided per
+//! second of wall time inside flushes (`FleetStats::wall_windows_per_sec`)
+//! — next to the serial-equivalent figure from merged per-session stats,
+//! the number that used to be the only one available, and that
+//! under-reports a concurrent fleet (summed per-window latencies treat
+//! parallel work as serial). Neither ingest path reads the clock per
+//! call (a clock pair costs about a quarter of a 1-s chunk's ingest), so
+//! the flush-time rate leaves out ingest copies and the driver's own
+//! time: it is the decision pipeline's rate, not a whole-process rate.
 //!
 //! Run with: `cargo run --release --bin fleet_sim -- --scale tiny`
 //! (add `--workers N` to pin the flush pipeline's executor count; the
@@ -178,7 +182,7 @@ fn main() {
                 "windows",
                 "rows batched",
                 "flushes",
-                "wall w/s",
+                "flush w/s",
                 "serial-eq w/s",
                 "extract us/w",
                 "classify us/w",
@@ -192,8 +196,9 @@ fn main() {
         )
     );
     println!(
-        "(wall w/s = windows per second of fleet busy time; serial-eq w/s sums\n\
-         per-window latencies across sessions and under-reports concurrency;\n\
+        "(flush w/s = windows per second of wall time inside flushes, ingest\n\
+         copies excluded; serial-eq w/s sums per-window latencies across\n\
+         sessions and under-reports concurrency;\n\
          extract/classify us/w split the per-window serving cost by kernel phase;\n\
          p50/p99/max us/w come from the merged per-window latency histogram)"
     );

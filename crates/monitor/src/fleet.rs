@@ -317,12 +317,12 @@ impl FleetMonitor {
 
     /// Cohort-wide alarm report over everything flushed so far: alarms
     /// per patient, fleet + merged stream accounting, wall-clock pooled
-    /// throughput and — when ground-truth seizure intervals are supplied
-    /// per patient — pooled event metrics (event sensitivity, FA/24h,
-    /// detection latency). Monitored time per patient is their session's
-    /// ingested-sample count over the sampling rate — or, on the
-    /// row-ingest path where no samples pass through the server, the
-    /// span their decided windows cover
+    /// throughput over flush time and — when ground-truth seizure
+    /// intervals are supplied per patient — pooled event metrics (event
+    /// sensitivity, FA/24h, detection latency). Monitored time per
+    /// patient is their session's ingested-sample count over the
+    /// sampling rate — or, on the row-ingest path where no samples pass
+    /// through the server, the span their decided windows cover
     /// (`(windows − 1) · stride + window_len` samples, whichever is
     /// larger), so FA/24h stays meaningful for the on-device-extraction
     /// topology, including overlapping-window geometries.
@@ -387,7 +387,7 @@ impl FleetMonitor {
 pub struct FleetAlarmReport {
     /// Alarms collected per patient across all flushes, firing order.
     pub alarms: BTreeMap<PatientId, Vec<AlarmEvent>>,
-    /// Fleet-level counters (incl. wall-clock serving throughput via
+    /// Fleet-level counters (incl. windows per flush-second via
     /// [`FleetStats::wall_windows_per_sec`]).
     pub stats: FleetStats,
     /// Merged per-session accounting; its `windows_per_sec` is

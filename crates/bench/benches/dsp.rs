@@ -1,8 +1,8 @@
 //! Perf-trajectory baseline for the DSP front-end: the fused micro-kernel
 //! layer (cascade-fused filtfilt, fused derivative→squaring→integration,
 //! bucket-grid peak filter, plan-cached real-input Welch) against the
-//! staged pre-fusion reference path, per stage and end to end, plus the
-//! opt-in f32 hot-loop variant.
+//! staged pre-fusion reference path, per stage and end to end, plus
+//! lane-batched extraction.
 //!
 //! All rows run on one real `Tiny` analysis window (5120 samples at
 //! 128 Hz) so the stage mix matches what a streaming monitor actually
@@ -20,7 +20,6 @@ use biodsp::filter::{
 use biodsp::psd::{welch, welch_reference};
 use biodsp::qrs::{DetectScratch, PanTompkins, QrsDetection};
 use biodsp::window::WindowKind;
-use biodsp::ExtractPrecision;
 use ecg_features::ar_feats::ar_features;
 use ecg_features::edr::extract_edr;
 use ecg_features::extract::{BatchExtractScratch, ExtractScratch, WindowExtractor};
@@ -72,7 +71,7 @@ fn main() {
         bb(&mwi);
     });
 
-    // --- (3) whole QRS detection: fused vs reference vs f32 ---
+    // --- (3) whole QRS detection: fused vs reference ---
     let det_cfg = PanTompkins::default();
     let mut dscr = DetectScratch::default();
     let mut det = QrsDetection::default();
@@ -83,12 +82,6 @@ fn main() {
     let detect_legacy = h.bench("detect_window_legacy_f64", || {
         det_cfg
             .detect_into_reference(&win, fs, &mut dscr, &mut det)
-            .unwrap();
-        bb(&det);
-    });
-    let detect_f32 = h.bench("detect_window_f32", || {
-        det_cfg
-            .detect_into_with(&win, fs, ExtractPrecision::F32, &mut dscr, &mut det)
             .unwrap();
         bb(&det);
     });
@@ -115,7 +108,6 @@ fn main() {
 
     // --- (6) whole-window extraction: the end-to-end per-window cost ---
     let ext_fused = WindowExtractor::new(fs);
-    let ext_f32 = WindowExtractor::with_precision(fs, ExtractPrecision::F32);
     let mut scratch = ExtractScratch::default();
     let mut row = Vec::new();
     let extract_fused = h.bench("extract_window_fused_f64", || {
@@ -128,10 +120,6 @@ fn main() {
         ext_fused
             .extract_into_reference(&win, &mut scratch, &mut row)
             .unwrap();
-        bb(&row);
-    });
-    let extract_f32 = h.bench("extract_window_f32", || {
-        ext_f32.extract_into(&win, &mut scratch, &mut row).unwrap();
         bb(&row);
     });
 
@@ -188,10 +176,6 @@ fn main() {
         detect_legacy / detect_fused
     );
     println!(
-        "  detect f32 vs fused f64:       {:.2}x",
-        detect_fused / detect_f32
-    );
-    println!(
         "  psd features planned vs legacy:{:.2}x",
         psd_legacy / psd_planned
     );
@@ -202,10 +186,6 @@ fn main() {
     println!(
         "  extract fused vs legacy:       {:.2}x",
         extract_legacy / extract_fused
-    );
-    println!(
-        "  extract f32 vs fused f64:      {:.2}x",
-        extract_fused / extract_f32
     );
     println!(
         "  extract lanes2 vs scalar loop: {:.2}x",
@@ -260,10 +240,6 @@ fn main() {
             (
                 "extract_fused_vs_legacy_speedup",
                 format!("{:.3}", extract_legacy / extract_fused),
-            ),
-            (
-                "extract_f32_vs_fused_speedup",
-                format!("{:.3}", extract_fused / extract_f32),
             ),
             (
                 "extract_lanes2_vs_scalar_speedup",

@@ -516,7 +516,7 @@ pub struct FleetScheduler {
     /// Reused decision-value buffer of the flush classify stage.
     values: Vec<f64>,
     /// Feature extractor of the fleet-wide extract stage (every session
-    /// shares the fleet's stream geometry and precision).
+    /// shares the fleet's stream geometry).
     extractor: WindowExtractor,
     /// Reused work list of the fleet-wide extract stage: every window
     /// assembled since the last flush, in (patient asc, window) order.
@@ -583,7 +583,7 @@ impl FleetScheduler {
             pending_chunks: Vec::new(),
             stats: FleetStats::default(),
             values: Vec::new(),
-            extractor: WindowExtractor::with_precision(cfg.stream.fs, cfg.stream.precision),
+            extractor: WindowExtractor::new(cfg.stream.fs),
             extract_jobs: Vec::new(),
             executors,
             batch_scratch: (0..executors)
@@ -1281,7 +1281,6 @@ impl FleetScheduler {
 mod tests {
     use super::*;
     use crate::alarm::DroppedPolicy;
-    use biodsp::ExtractPrecision;
     use ecg_features::N_FEATURES;
     use svm::{ClassifierEngine, EngineInfo};
 
@@ -1378,7 +1377,6 @@ mod tests {
             fs: 0.0,
             window_len: 10,
             stride: 10,
-            precision: ExtractPrecision::default(),
         });
         assert!(FleetScheduler::new(engine(), bad_stream).is_err());
 

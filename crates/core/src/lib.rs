@@ -52,10 +52,12 @@
 //! * [`explore`], [`bitwidth`], [`combine`] — the Figs 4–7 design-space
 //!   machinery;
 //! * [`parallel`] — the deterministic scoped-thread fan-out substrate;
-//! * [`stream`] — incremental inference: ring buffer → window scheduler →
-//!   scratch-reusing extraction → any [`svm::ClassifierEngine`], with
-//!   per-window latency histograms, an optional online alarm stage and
-//!   parallel multi-patient fan-out;
+//! * [`stream`] — incremental inference for one patient: single-copy
+//!   window assembly ([`biodsp::stream::WindowAssembler`]) →
+//!   scratch-reusing lane-batched extraction → any
+//!   [`svm::ClassifierEngine`], with per-window latency histograms and an
+//!   optional online alarm stage (many patients are multiplexed by
+//!   [`fleet`]);
 //! * [`fleet`] — fleet-scale session multiplexing: N per-patient
 //!   sessions behind one scheduler, ready feature rows micro-batched
 //!   across patients into single `decision_batch` calls, with an
@@ -111,7 +113,6 @@ pub use alarm::{
     decision_is_seizure, AlarmConfig, AlarmEvent, AlarmStateMachine, DroppedPolicy, EventMetrics,
     EventScoring, TruthEvent,
 };
-pub use biodsp::ExtractPrecision;
 pub use clock::{ClockSource, FleetClock, LatencyHistogram, TickConfig, TickOutcome};
 pub use config::FitConfig;
 pub use engine::{BitConfig, QuantizedEngine};

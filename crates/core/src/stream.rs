@@ -43,7 +43,6 @@ use crate::alarm::{AlarmConfig, AlarmEvent, AlarmStateMachine};
 use crate::clock::LatencyHistogram;
 use crate::error::CoreError;
 use biodsp::stream::{AssembledWindow, WindowAssembler};
-use biodsp::ExtractPrecision;
 use ecg_features::extract::{BatchExtractScratch, WindowExtractor};
 use ecg_features::N_FEATURES;
 use std::sync::Arc;
@@ -64,10 +63,6 @@ pub struct StreamConfig {
     /// Stride between window starts in samples (`== window_len` for the
     /// paper's non-overlapping protocol).
     pub stride: usize,
-    /// Arithmetic precision of the extraction hot loops (see
-    /// [`ExtractPrecision`]). Defaults to [`ExtractPrecision::F64`],
-    /// which is bit-identical to the historical pipeline.
-    pub precision: ExtractPrecision,
 }
 
 impl StreamConfig {
@@ -103,13 +98,7 @@ impl StreamConfig {
             fs,
             window_len,
             stride: window_len,
-            precision: ExtractPrecision::default(),
         })
-    }
-
-    /// Same config with the extraction hot loops at `precision`.
-    pub fn with_precision(self, precision: ExtractPrecision) -> Self {
-        StreamConfig { precision, ..self }
     }
 
     /// Number of windows completed once `samples` total samples have
@@ -401,7 +390,7 @@ impl StreamingSession {
             .map_err(|e| CoreError::InvalidConfig(format!("stream windowing: {e}")))?;
         Ok(StreamingSession {
             cfg,
-            extractor: WindowExtractor::with_precision(cfg.fs, cfg.precision),
+            extractor: WindowExtractor::new(cfg.fs),
             engine,
             assembler,
             assembled: Vec::new(),
@@ -799,7 +788,6 @@ mod tests {
                 fs: 128.0,
                 window_len,
                 stride,
-                precision: ExtractPrecision::default(),
             };
             let mut assembler = WindowAssembler::new(window_len, stride).unwrap();
             let mut done = Vec::new();
@@ -848,14 +836,12 @@ mod tests {
             fs: 0.0,
             window_len: 10,
             stride: 10,
-            precision: ExtractPrecision::default(),
         };
         assert!(StreamingSession::new(engine(), bad_fs).is_err());
         let bad_window = StreamConfig {
             fs: 128.0,
             window_len: 0,
             stride: 1,
-            precision: ExtractPrecision::default(),
         };
         assert!(StreamingSession::new(engine(), bad_window).is_err());
         let cfg = StreamConfig::non_overlapping(128.0, 30.0).unwrap();

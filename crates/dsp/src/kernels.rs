@@ -31,11 +31,9 @@
 //!   table-exact twiddles) and is tolerance-pinned by the
 //!   `dsp_kernel_equivalence` suite instead.
 //!
-//! Everything is generic over [`Scalar`] (`f64`/`f32`): the opt-in
-//! [`ExtractPrecision::F32`] extraction path runs these same kernels in
-//! single precision. Plain mul/add only — no FMA contraction — so the
-//! `f64` instantiation reproduces the scalar reference expressions bit
-//! for bit.
+//! The kernels are written over [`Scalar`], whose only implementation
+//! is `f64`. Plain mul/add only — no FMA contraction — so they reproduce
+//! the scalar reference expressions bit for bit.
 
 // lint: allow-file(hot-index) — fused-kernel idiom: subscripts are ring/window
 // offsets whose bounds are established once at entry (length asserts, `min`
@@ -43,32 +41,27 @@
 use std::cmp::Ordering;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-/// Numeric precision of the extraction compute path.
+/// Numeric precision of the extraction compute path. Extraction runs in
+/// double precision only, so [`ExtractPrecision::F64`] is the one
+/// variant.
 ///
-/// Threaded from `FleetConfig`/`StreamConfig` through `WindowExtractor`
-/// down to the filter/QRS/PSD hot loops. [`ExtractPrecision::F64`] (the
-/// default) is bit-identical to the historical pipeline;
-/// [`ExtractPrecision::F32`] runs the sample-rate hot loops in single
-/// precision — faster, tolerance-pinned against the `f64` reference on a
-/// real cohort with classification-identical decisions (see the
-/// `dsp_kernel_equivalence` suite). Beat-rate stages (RR cleaning, EDR
-/// resampling, HRV/Lorenz/Burg statistics) always run in `f64`; their
-/// cost is negligible and keeping them double-precision bounds the f32
-/// path's feature error to the filter/QRS/PSD stages.
+/// Kept only as the argument of [`crate::qrs::PanTompkins::detect_into_with`]
+/// and `ecg_features::psd_feats::psd_features_with`, the names
+/// fleetbench's per-layer replay compiles against, until the benchmark
+/// decouples from extraction internals (ROADMAP item 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExtractPrecision {
     /// Double precision — bit-identical to the pre-kernel pipeline.
     #[default]
     F64,
-    /// Single-precision hot loops — opt-in fast path.
-    F32,
 }
 
-/// Scalar element the fused kernels are generic over (`f64` or `f32`).
+/// Scalar element the fused kernels are written over; `f64` is the only
+/// implementation.
 ///
 /// Deliberately minimal: plain arithmetic plus conversions. No `mul_add`
 /// — Rust does not contract `a * b + c` into FMA, and the kernels must
-/// reproduce the scalar reference expressions exactly at `f64`.
+/// reproduce the scalar reference expressions exactly.
 pub trait Scalar:
     Copy
     + Default
@@ -88,9 +81,9 @@ pub trait Scalar:
     const ONE: Self;
     /// Negative infinity, the identity of [`Scalar::maxv`].
     const NEG_INFINITY: Self;
-    /// Conversion from `f64` (rounds for `f32`).
+    /// Conversion from `f64`.
     fn from_f64(v: f64) -> Self;
-    /// Widening conversion to `f64` (exact for both instantiations).
+    /// Conversion to `f64`.
     fn to_f64(self) -> f64;
     /// IEEE 754 total order, mirroring `f64::total_cmp`.
     fn total_cmp(&self, other: &Self) -> Ordering;
@@ -102,11 +95,9 @@ pub trait Scalar:
     /// integers compares registers instead of chasing floats through the
     /// cache, which is what makes the peak filter's sort cheap.
     fn sort_key(self) -> u64;
-    /// A `(descending sort key, index)` candidate packed into the
-    /// narrowest integer that holds both: `u64` for `f32` (32-bit key),
-    /// `(u64, usize)` for `f64`. Ascending `Ord` on the packed value is
-    /// descending IEEE total order on the sample value with ascending
-    /// index as the tie-break.
+    /// A `(descending sort key, index)` candidate, `(u64, usize)` for
+    /// `f64`. Ascending `Ord` on the packed value is descending IEEE total
+    /// order on the sample value with ascending index as the tie-break.
     type Packed: Copy + Ord + Default;
     /// Packs `(!self.sort_key(), index)` into [`Scalar::Packed`].
     fn pack_desc(self, index: usize) -> Self::Packed;
@@ -150,47 +141,6 @@ impl Scalar for f64 {
     #[inline(always)]
     fn unpack_index(packed: Self::Packed) -> usize {
         packed.1
-    }
-}
-
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const NEG_INFINITY: Self = f32::NEG_INFINITY;
-    #[inline(always)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-    #[inline(always)]
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-    #[inline(always)]
-    fn total_cmp(&self, other: &Self) -> Ordering {
-        f32::total_cmp(self, other)
-    }
-    #[inline(always)]
-    fn maxv(self, other: Self) -> Self {
-        f32::max(self, other)
-    }
-    #[inline(always)]
-    fn sort_key(self) -> u64 {
-        // `f32::total_cmp`'s bit trick; zero-extension to u64 preserves
-        // the u32 order.
-        let b = self.to_bits() as i32;
-        u64::from(((b ^ (((b >> 31) as u32) >> 1) as i32) as u32) ^ (1 << 31))
-    }
-    /// 32-bit key and 32-bit index share one word — the candidate sort
-    /// compares single registers. Signal windows are far below `u32::MAX`
-    /// samples.
-    type Packed = u64;
-    #[inline(always)]
-    fn pack_desc(self, index: usize) -> Self::Packed {
-        ((!self.sort_key()) << 32) | index as u64
-    }
-    #[inline(always)]
-    fn unpack_index(packed: Self::Packed) -> usize {
-        (packed & 0xFFFF_FFFF) as usize
     }
 }
 
@@ -385,11 +335,10 @@ pub fn filtfilt_fused_in_ext<T: Scalar>(
     pad
 }
 
-/// Zero-phase forward–backward filtering with odd reflection padding,
-/// generic over precision. This is the fused engine under
+/// Zero-phase forward–backward filtering with odd reflection padding.
+/// This is the fused engine under
 /// [`crate::filter::SosCascade::filtfilt_into`] (which documents the
-/// padding scheme); the `f32` instantiation backs the
-/// [`ExtractPrecision::F32`] extraction path.
+/// padding scheme).
 ///
 /// `ext` is the reusable padded work buffer, `out` receives the
 /// `x.len()` filtered samples. Copy-free variant:
@@ -409,63 +358,6 @@ pub fn filtfilt_fused<T: Scalar>(
     out.extend_from_slice(&ext[pad..pad + x.len()]);
 }
 
-/// [`filtfilt_fused_in_ext`] taking an `f64` input signal and narrowing
-/// it to `T` while the padded extension is built, so a reduced-precision
-/// caller pays no separate conversion pass (and keeps no converted copy
-/// of the input alive). The filtered samples live at
-/// `ext[pad..pad + x.len()]` with `pad` returned.
-///
-/// # Panics
-///
-/// Panics when `secs.len() > MAX_CHAIN_SECTIONS`.
-pub fn filtfilt_fused_from_f64_in_ext<T: Scalar>(
-    secs: &[SosSection<T>],
-    x: &[f64],
-    ext: &mut Vec<T>,
-) -> usize {
-    if x.is_empty() || secs.is_empty() {
-        ext.clear();
-        ext.extend(x.iter().map(|&v| T::from_f64(v)));
-        return 0;
-    }
-    let two = T::from_f64(2.0);
-    let pad = (6 * secs.len()).min(x.len() - 1).max(1);
-    ext.clear();
-    ext.reserve(x.len() + 2 * pad);
-    let first = T::from_f64(x[0]);
-    for i in (1..=pad).rev() {
-        ext.push(two * first - T::from_f64(x[i.min(x.len() - 1)]));
-    }
-    ext.extend(x.iter().map(|&v| T::from_f64(v)));
-    let n = x.len();
-    let last = T::from_f64(x[n - 1]);
-    for i in 1..=pad {
-        let idx = n.saturating_sub(1 + i.min(n - 1));
-        ext.push(two * last - T::from_f64(x[idx]));
-    }
-    sos_chain_in_place(secs, ext);
-    sos_chain_reverse_in_place(secs, ext);
-    pad
-}
-
-/// [`filtfilt_fused`] taking an `f64` input signal and narrowing it to
-/// `T` while the padded extension is built. Copy-free variant:
-/// [`filtfilt_fused_from_f64_in_ext`].
-///
-/// # Panics
-///
-/// Panics when `secs.len() > MAX_CHAIN_SECTIONS`.
-pub fn filtfilt_fused_from_f64<T: Scalar>(
-    secs: &[SosSection<T>],
-    x: &[f64],
-    ext: &mut Vec<T>,
-    out: &mut Vec<T>,
-) {
-    let pad = filtfilt_fused_from_f64_in_ext(secs, x, ext);
-    out.clear();
-    out.extend_from_slice(&ext[pad..pad + x.len()]);
-}
-
 /// Fused Pan–Tompkins energy stage: five-point derivative → squaring →
 /// moving-window integration in a single pass over `filtered`, writing
 /// the integrated (MWI) signal into `out`.
@@ -474,7 +366,7 @@ pub fn filtfilt_fused_from_f64<T: Scalar>(
 /// sweep and a `win`-sample ring buffer (`ring`, reused across calls).
 /// The accumulator ordering of the staged implementation is preserved —
 /// add the incoming squared sample, then subtract the one leaving the
-/// window — so the `f64` instantiation is bit-identical to
+/// window — so the result is bit-identical to
 /// `five_point_derivative_into` + squaring + `moving_average_into`.
 ///
 /// # Panics
@@ -777,29 +669,6 @@ mod tests {
                 );
             }
         }
-        let vals32: Vec<f32> = vec![
-            f32::NEG_INFINITY,
-            -1e30,
-            -1.5,
-            -f32::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f32::MIN_POSITIVE,
-            1.5,
-            1e30,
-            f32::INFINITY,
-            f32::NAN,
-            -f32::NAN,
-        ];
-        for &a in &vals32 {
-            for &b in &vals32 {
-                assert_eq!(
-                    a.total_cmp(&b),
-                    Scalar::sort_key(a).cmp(&Scalar::sort_key(b)),
-                    "f32 total order mismatch for {a:?} vs {b:?}"
-                );
-            }
-        }
         // Random sweep: sorting by key must equal sorting by total_cmp.
         let mut seed = 0xC0FFEE_u64;
         let mut xs: Vec<f64> = (0..512).map(|_| xorshift(&mut seed) * 1e6).collect();
@@ -810,50 +679,12 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // Packed candidates: ascending packed order == descending value,
-        // ascending index, at both precisions.
+        // ascending index.
         for (a, b) in [(2.0f64, 1.0f64), (1.0, -1.0), (-0.0, -1.5)] {
             assert!(a.pack_desc(7) < b.pack_desc(3), "{a} vs {b}");
             assert!(<f64 as Scalar>::unpack_index(a.pack_desc(7)) == 7);
         }
-        for (a, b) in [(2.0f32, 1.0f32), (1.0, -1.0), (-0.0, -1.5)] {
-            assert!(a.pack_desc(7) < b.pack_desc(3), "{a} vs {b}");
-            assert!(<f32 as Scalar>::unpack_index(a.pack_desc(7)) == 7);
-        }
         assert!(1.5f64.pack_desc(3) < 1.5f64.pack_desc(9));
-        assert!(1.5f32.pack_desc(3) < 1.5f32.pack_desc(9));
-    }
-
-    #[test]
-    fn fused_from_f64_matches_preconverted_input() {
-        let fs = 128.0;
-        let mut seed = 0xFACE_u64;
-        let sig: Vec<f64> = (0..513).map(|_| xorshift(&mut seed)).collect();
-        let cascade = crate::filter::SosCascade::butterworth_bandpass(5.0, 15.0, fs, 1).unwrap();
-        let secs64: Vec<SosSection<f64>> = cascade
-            .sections()
-            .iter()
-            .map(|s| SosSection::from_f64(s.b, s.a))
-            .collect();
-        let (mut ext_a, mut out_a) = (Vec::new(), Vec::new());
-        let (mut ext_b, mut out_b) = (Vec::new(), Vec::new());
-        filtfilt_fused(&secs64, &sig, &mut ext_a, &mut out_a);
-        filtfilt_fused_from_f64(&secs64, &sig, &mut ext_b, &mut out_b);
-        for (a, b) in out_a.iter().zip(out_b.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let secs32: Vec<SosSection<f32>> = cascade
-            .sections()
-            .iter()
-            .map(|s| SosSection::from_f64(s.b, s.a))
-            .collect();
-        let sig32: Vec<f32> = sig.iter().map(|&v| v as f32).collect();
-        let (mut ext_c, mut out_c): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
-        let (mut ext_d, mut out_d): (Vec<f32>, Vec<f32>) = (Vec::new(), Vec::new());
-        filtfilt_fused(&secs32, &sig32, &mut ext_c, &mut out_c);
-        filtfilt_fused_from_f64(&secs32, &sig, &mut ext_d, &mut out_d);
-        for (a, b) in out_c.iter().zip(out_d.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -950,43 +781,6 @@ mod tests {
         for (k, &p) in power.iter().enumerate() {
             let expect = reference[k].norm_sqr();
             assert!((p - expect).abs() <= 1e-9 * expect.max(1.0), "bin {k}");
-        }
-    }
-
-    #[test]
-    fn rfft_plan_f32_tracks_f64() {
-        let mut seed = 7_u64;
-        let sig: Vec<f64> = (0..128).map(|_| xorshift(&mut seed)).collect();
-        let sig32: Vec<f32> = sig.iter().map(|&v| v as f32).collect();
-        let mut p64 = RfftPlan::<f64>::new(128);
-        let mut p32 = RfftPlan::<f32>::new(128);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        p64.power_into(&sig, &mut a);
-        p32.power_into(&sig32, &mut b);
-        let scale: f64 = a.iter().copied().fold(1e-30, f64::max);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() <= 1e-4 * scale, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn filtfilt_fused_f32_is_finite_and_close() {
-        let fs = 128.0;
-        let cascade = crate::filter::SosCascade::butterworth_bandpass(5.0, 15.0, fs, 1).unwrap();
-        let sig: Vec<f64> = (0..512)
-            .map(|i| (2.0 * std::f64::consts::PI * 7.0 * i as f64 / fs).sin())
-            .collect();
-        let reference = cascade.filtfilt(&sig);
-        let secs32: Vec<SosSection<f32>> = cascade
-            .sections()
-            .iter()
-            .map(|s| SosSection::from_f64(s.b, s.a))
-            .collect();
-        let sig32: Vec<f32> = sig.iter().map(|&v| v as f32).collect();
-        let (mut ext, mut out) = (Vec::new(), Vec::new());
-        filtfilt_fused(&secs32, &sig32, &mut ext, &mut out);
-        for (a, b) in reference.iter().zip(out.iter()) {
-            assert!((a - f64::from(*b)).abs() < 1e-3, "{a} vs {b}");
         }
     }
 }

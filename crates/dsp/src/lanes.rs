@@ -11,7 +11,7 @@
 //! once. This module processes `L` of them together by transposing the
 //! group into `[T; L]` structure-of-arrays elements: each sample step
 //! advances `L` independent dependency chains, which pipeline
-//! concurrently (and autovectorize — `[f64; 4]`/`[f32; 8]` elementwise
+//! concurrently (and autovectorize — `[f64; 4]` elementwise
 //! arithmetic maps straight onto vector registers) instead of leaving
 //! the FP units idle between dependent adds.
 //!
@@ -21,9 +21,9 @@
 //! element, no horizontal reductions, no re-association, no FMA
 //! contraction (Rust never contracts `a * b + c`). Lane `l` of a group
 //! therefore computes the *same sequence of scalar operations* the
-//! fused scalar path would run on that window alone, and the `f64`
-//! instantiation is bit-identical to it; `lane_equivalence` pins this
-//! on a real cohort for L ∈ {2, 4, 8} at both precisions.
+//! fused scalar path would run on that window alone, and is
+//! bit-identical to it; `lane_equivalence` pins this on a real cohort
+//! for L ∈ {2, 4, 8}.
 //!
 //! Only the *dense* phases are laned: the cascade-fused zero-phase
 //! band-pass ([`lane_filtfilt_from_f64_in_ext`]) and the fused
@@ -217,16 +217,15 @@ pub fn lane_sos_chain_reverse_in_place<T: Scalar, const L: usize>(
 }
 
 /// Lane-batched zero-phase forward–backward filtering of `L`
-/// same-length `f64` windows, narrowing to `T` while the odd-reflection
-/// padded SoA extension is built. The AoS→SoA pack, the precision
-/// narrowing and the forward filter pass are one sweep over the
-/// windows: the packed signal goes straight into the recurrence, and
+/// same-length `f64` windows while the odd-reflection padded SoA
+/// extension is built. The AoS→SoA pack and the forward filter pass are
+/// one sweep over the windows: the packed signal goes straight into the recurrence, and
 /// only its filtered values are stored. After the call the filtered
 /// samples live at `ext[pad..pad + n]` with `pad` returned, one
 /// `[T; L]` element per sample position.
 ///
 /// Per lane this evaluates exactly the expressions of
-/// [`crate::kernels::filtfilt_fused_from_f64_in_ext`] — same padding
+/// [`crate::kernels::filtfilt_fused_in_ext`] — same padding
 /// arithmetic, same per-sample chain recurrence — so each lane is
 /// bit-identical to the scalar fused path on that window alone.
 ///
@@ -389,7 +388,7 @@ pub fn deinterleave_into<T: Scalar, const L: usize>(src: &[[T; L]], lane: usize,
 mod tests {
     use super::*;
     use crate::filter::SosCascade;
-    use crate::kernels::{filtfilt_fused_from_f64_in_ext, qrs_energy_into};
+    use crate::kernels::{filtfilt_fused_in_ext, qrs_energy_into};
 
     fn xorshift(seed: &mut u64) -> f64 {
         *seed ^= *seed << 13;
@@ -413,21 +412,21 @@ mod tests {
             .collect()
     }
 
-    fn lane_filtfilt_matches_scalar_bitwise<T: Scalar, const L: usize>() {
+    fn lane_filtfilt_matches_scalar_bitwise<const L: usize>() {
         let fs = 128.0;
         for n in [5usize, 17, 513] {
             let sigs = signals(n, L, 0xFACE ^ n as u64);
             for n_sections in [1usize, 2] {
                 let cascade = SosCascade::butterworth_bandpass(5.0, 15.0, fs, n_sections).unwrap();
-                let secs = secs_t::<T>(&cascade);
+                let secs = secs_t::<f64>(&cascade);
                 let windows: [&[f64]; L] = std::array::from_fn(|l| sigs[l].as_slice());
                 let mut ext = Vec::new();
                 let pad = lane_filtfilt_from_f64_in_ext(&secs, &windows, &mut ext);
                 let mut lane_out = Vec::new();
-                let mut scalar_ext: Vec<T> = Vec::new();
+                let mut scalar_ext = Vec::new();
                 for (l, sig) in sigs.iter().enumerate() {
                     deinterleave_into(&ext[pad..pad + n], l, &mut lane_out);
-                    let spad = filtfilt_fused_from_f64_in_ext(&secs, sig, &mut scalar_ext);
+                    let spad = filtfilt_fused_in_ext(&secs, sig, &mut scalar_ext);
                     assert_eq!(pad, spad);
                     for (i, (a, b)) in lane_out
                         .iter()
@@ -435,8 +434,8 @@ mod tests {
                         .enumerate()
                     {
                         assert_eq!(
-                            a.to_f64().to_bits(),
-                            b.to_f64().to_bits(),
+                            a.to_bits(),
+                            b.to_bits(),
                             "n {n} sections {n_sections} lane {l} sample {i}"
                         );
                     }
@@ -447,12 +446,9 @@ mod tests {
 
     #[test]
     fn lane_filtfilt_matches_scalar_bitwise_all_widths() {
-        lane_filtfilt_matches_scalar_bitwise::<f64, 2>();
-        lane_filtfilt_matches_scalar_bitwise::<f64, 4>();
-        lane_filtfilt_matches_scalar_bitwise::<f64, 8>();
-        lane_filtfilt_matches_scalar_bitwise::<f32, 2>();
-        lane_filtfilt_matches_scalar_bitwise::<f32, 4>();
-        lane_filtfilt_matches_scalar_bitwise::<f32, 8>();
+        lane_filtfilt_matches_scalar_bitwise::<2>();
+        lane_filtfilt_matches_scalar_bitwise::<4>();
+        lane_filtfilt_matches_scalar_bitwise::<8>();
     }
 
     fn lane_energy_matches_scalar_bitwise<const L: usize>() {
@@ -504,7 +500,7 @@ mod tests {
         let pad = lane_filtfilt_from_f64_in_ext(&secs, &one, &mut ext);
         let mut sext = Vec::new();
         for (l, sig) in [[1.5].as_slice(), [-2.5].as_slice()].iter().enumerate() {
-            let spad = filtfilt_fused_from_f64_in_ext(&secs, sig, &mut sext);
+            let spad = filtfilt_fused_in_ext(&secs, sig, &mut sext);
             assert_eq!(pad, spad);
             assert_eq!(ext[pad][l].to_bits(), sext[spad].to_bits());
         }

@@ -3,7 +3,7 @@
 
 use crate::error::DspError;
 use crate::fft::{next_pow2, rfft};
-use crate::kernels::{ExtractPrecision, RfftPlan};
+use crate::kernels::RfftPlan;
 use crate::window::WindowKind;
 use std::cell::RefCell;
 use std::f64::consts::PI;
@@ -70,8 +70,8 @@ impl Spectrum {
 }
 
 /// Cached spectral machinery for one `(segment length, window)` shape:
-/// window coefficients (both precisions), their power normalisation, the
-/// real-input FFT plans and every work buffer the hot loop touches. Kept
+/// window coefficients, their power normalisation, the real-input FFT
+/// plan and every work buffer the hot loop touches. Kept
 /// in a thread-local single-slot cache so the feature path — thousands of
 /// Welch calls with one fixed `(nperseg, Hann)` shape per monitor thread —
 /// builds windows and twiddle tables exactly once.
@@ -79,14 +79,10 @@ struct PlanSlot {
     wlen: usize,
     window: WindowKind,
     coeffs: Vec<f64>,
-    coeffs32: Vec<f32>,
     /// `sum(w^2)` in [`WindowKind::apply`]'s accumulation order.
     wpow: f64,
     plan: RfftPlan<f64>,
-    /// Built lazily on the first [`ExtractPrecision::F32`] call.
-    plan32: Option<RfftPlan<f32>>,
     buf: Vec<f64>,
-    buf32: Vec<f32>,
     pow: Vec<f64>,
 }
 
@@ -106,17 +102,13 @@ fn with_plan<R>(wlen: usize, window: WindowKind, f: impl FnOnce(&mut PlanSlot) -
         if rebuild {
             let coeffs = window.coefficients(wlen);
             let wpow = coeffs.iter().map(|w| w * w).sum();
-            let coeffs32 = coeffs.iter().map(|&w| w as f32).collect();
             *slot = Some(PlanSlot {
                 wlen,
                 window,
                 coeffs,
-                coeffs32,
                 wpow,
                 plan: RfftPlan::new(next_pow2(wlen)),
-                plan32: None,
                 buf: Vec::with_capacity(wlen),
-                buf32: Vec::new(),
                 pow: Vec::new(),
             });
         }
@@ -126,33 +118,16 @@ fn with_plan<R>(wlen: usize, window: WindowKind, f: impl FnOnce(&mut PlanSlot) -
 
 /// Detrends, windows and transforms one segment, leaving the scaled
 /// one-sided PSD bins in `slot.pow`. Mean removal and windowing are fused
-/// into the transform input fill; the `F32` arm narrows once and runs the
-/// half-size FFT in `f32`, emitting `f64` powers.
-fn segment_power(slot: &mut PlanSlot, seg: &[f64], fs: f64, precision: ExtractPrecision) {
+/// into the transform input fill.
+fn segment_power(slot: &mut PlanSlot, seg: &[f64], fs: f64) {
     let m = crate::stats::mean(seg);
-    match precision {
-        ExtractPrecision::F64 => {
-            slot.buf.clear();
-            slot.buf.extend(
-                seg.iter()
-                    .zip(slot.coeffs.iter())
-                    .map(|(&v, &w)| (v - m) * w),
-            );
-            slot.plan.power_into(&slot.buf, &mut slot.pow);
-        }
-        ExtractPrecision::F32 => {
-            let m32 = m as f32;
-            slot.buf32.clear();
-            slot.buf32.extend(
-                seg.iter()
-                    .zip(slot.coeffs32.iter())
-                    .map(|(&v, &w)| (v as f32 - m32) * w),
-            );
-            let n = slot.plan.len();
-            let plan32 = slot.plan32.get_or_insert_with(|| RfftPlan::new(n));
-            plan32.power_into(&slot.buf32, &mut slot.pow);
-        }
-    }
+    slot.buf.clear();
+    slot.buf.extend(
+        seg.iter()
+            .zip(slot.coeffs.iter())
+            .map(|(&v, &w)| (v - m) * w),
+    );
+    slot.plan.power_into(&slot.buf, &mut slot.pow);
     let nfft = slot.plan.len();
     let scale = 1.0 / (fs * slot.wpow);
     for (k, p) in slot.pow.iter_mut().enumerate() {
@@ -179,21 +154,6 @@ fn segment_power(slot: &mut PlanSlot, seg: &[f64], fs: f64, precision: ExtractPr
 /// Returns [`DspError::TooShort`] for signals with fewer than 4 samples and
 /// [`DspError::InvalidParameter`] for non-positive `fs`.
 pub fn periodogram(signal: &[f64], fs: f64, window: WindowKind) -> Result<Spectrum, DspError> {
-    periodogram_with(signal, fs, window, ExtractPrecision::F64)
-}
-
-/// Precision-dispatching twin of [`periodogram`]: the detrend/window/FFT
-/// arithmetic runs at `precision`, scaling and output stay `f64`.
-///
-/// # Errors
-///
-/// Same contract as [`periodogram`].
-pub fn periodogram_with(
-    signal: &[f64],
-    fs: f64,
-    window: WindowKind,
-    precision: ExtractPrecision,
-) -> Result<Spectrum, DspError> {
     if signal.len() < 4 {
         return Err(DspError::TooShort {
             needed: 4,
@@ -207,7 +167,7 @@ pub fn periodogram_with(
         });
     }
     with_plan(signal.len(), window, |slot| {
-        segment_power(slot, signal, fs, precision);
+        segment_power(slot, signal, fs);
         let nfft = slot.plan.len();
         let nbins = nfft / 2 + 1;
         let freqs = (0..nbins).map(|k| k as f64 * fs / nfft as f64).collect();
@@ -282,23 +242,6 @@ pub fn welch(
     overlap: f64,
     window: WindowKind,
 ) -> Result<Spectrum, DspError> {
-    welch_with(signal, fs, nperseg, overlap, window, ExtractPrecision::F64)
-}
-
-/// Precision-dispatching twin of [`welch`]: per-segment detrend/window/FFT
-/// arithmetic runs at `precision`, accumulation and output stay `f64`.
-///
-/// # Errors
-///
-/// Same contract as [`welch`].
-pub fn welch_with(
-    signal: &[f64],
-    fs: f64,
-    nperseg: usize,
-    overlap: f64,
-    window: WindowKind,
-    precision: ExtractPrecision,
-) -> Result<Spectrum, DspError> {
     if nperseg < 4 {
         return Err(DspError::InvalidParameter {
             name: "nperseg",
@@ -325,7 +268,7 @@ pub fn welch_with(
         let mut count = 0usize;
         let mut start = 0usize;
         while start + nperseg <= signal.len() {
-            segment_power(slot, &signal[start..start + nperseg], fs, precision);
+            segment_power(slot, &signal[start..start + nperseg], fs);
             for (a, &p) in acc.iter_mut().zip(slot.pow.iter()) {
                 *a += p;
             }
@@ -669,19 +612,6 @@ mod tests {
         assert_eq!(wel.power.len(), acc.len());
         for (a, b) in wel.power.iter().zip(acc.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn f32_welch_tracks_f64() {
-        let fs = 4.0;
-        let sig = two_tone(fs, 600);
-        let hi = welch(&sig, fs, 128, 0.5, WindowKind::Hann).unwrap();
-        let lo = welch_with(&sig, fs, 128, 0.5, WindowKind::Hann, ExtractPrecision::F32).unwrap();
-        assert_eq!(hi.freqs, lo.freqs);
-        let pmax = hi.power.iter().fold(0.0f64, |a, &b| a.max(b));
-        for (a, b) in lo.power.iter().zip(hi.power.iter()) {
-            assert!((a - b).abs() <= 1e-5 * pmax, "{a} vs {b}");
         }
     }
 }

@@ -110,25 +110,17 @@ pub struct DetectScratch {
     deriv: Vec<f64>,
     squared: Vec<f64>,
     mwi: Vec<f64>,
-    /// Integration-window ring for the fused energy kernel (f64 path).
+    /// Integration-window ring for the fused energy kernel.
     ring: Vec<f64>,
-    /// Padded filtfilt work buffer for the fused f64 path: the filtered
-    /// samples live at `ext64[pad..pad + n]` after the band-pass and are
+    /// Padded filtfilt work buffer for the fused path: the filtered
+    /// samples live at `ext[pad..pad + n]` after the band-pass and are
     /// sliced in place, never copied out.
-    ext64: Vec<f64>,
-    /// f32-path twins: padded filtfilt extension (also sliced in place),
-    /// MWI ring and integrated signal (the input window is narrowed on
-    /// the fly while the extension is built, never stored).
-    ext32: Vec<f32>,
-    ring32: Vec<f32>,
-    mwi32: Vec<f32>,
+    ext: Vec<f64>,
     /// Candidate list for the quadratic reference peak filter.
     peak_cand: Vec<usize>,
     /// Packed `(descending total-order key, index)` candidates for the
-    /// bucket-grid filter, one buffer per precision (`f32` packs key and
-    /// index into a single word).
+    /// bucket-grid filter.
     peak_cand_keyed: Vec<(u64, usize)>,
-    peak_cand_keyed32: Vec<u64>,
     local_peaks: Vec<usize>,
     /// Bucket grid for the exact minimum-distance peak filter.
     peak_buckets: Vec<usize>,
@@ -215,9 +207,11 @@ impl PanTompkins {
     /// all intermediate buffers in `scratch` so repeated calls allocate
     /// nothing after warm-up. Bit-identical to [`PanTompkins::detect`].
     ///
-    /// Runs at [`ExtractPrecision::F64`]; see
-    /// [`PanTompkins::detect_into_with`] for the precision-dispatching
-    /// form.
+    /// The whole sample-rate pipeline — zero-phase band-pass, the fused
+    /// derivative → squaring → integration energy kernel, the bucket-grid
+    /// peak filter and the adaptive thresholding/search-back/refinement
+    /// stages — runs through the fused kernels, bit-identical to the
+    /// pre-fusion [`PanTompkins::detect_into_reference`].
     ///
     /// # Errors
     ///
@@ -230,119 +224,67 @@ impl PanTompkins {
         scratch: &mut DetectScratch,
         out: &mut QrsDetection,
     ) -> Result<(), DspError> {
-        self.detect_into_with(ecg, fs, ExtractPrecision::F64, scratch, out)
-    }
-
-    /// Precision-dispatching detector. The whole sample-rate pipeline —
-    /// zero-phase band-pass, the fused derivative → squaring →
-    /// integration energy kernel, the bucket-grid peak filter and the
-    /// adaptive thresholding/search-back/refinement stages — runs at
-    /// `precision` through one generic code path, so the `F32` variant
-    /// pays no widening passes and differs from `F64` only through
-    /// rounding. Interval bookkeeping (RR averages, search-back gap
-    /// timing) is index-derived and stays in `f64` at both precisions.
-    ///
-    /// At [`ExtractPrecision::F64`] this is bit-identical to the
-    /// pre-fusion [`PanTompkins::detect_into_reference`]; at
-    /// [`ExtractPrecision::F32`] detections are tolerance-pinned against
-    /// the `f64` reference by the `dsp_kernel_equivalence` suite.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PanTompkins::detect`]; on error `out` is left
-    /// cleared.
-    pub fn detect_into_with(
-        &self,
-        ecg: &[f64],
-        fs: f64,
-        precision: ExtractPrecision,
-        scratch: &mut DetectScratch,
-        out: &mut QrsDetection,
-    ) -> Result<(), DspError> {
         out.peaks.clear();
         let (min_len, win) = self.validate_and_cache(ecg, fs, scratch)?;
         // lint: allow(hot-panic) — `validate_and_cache` installed the
         // band-pass on the line above; absence is unreachable.
         let bp = &scratch.bandpass.as_ref().expect("cached band-pass").3;
         let refractory = (self.refractory_s * fs).round() as usize;
-        match precision {
-            ExtractPrecision::F64 => {
-                // 1) Band-pass; the filtered samples stay inside the
-                //    padded work buffer (no copy-out pass), downstream
-                //    stages slice it. 2–4) fused derivative/squaring/MWI.
-                let filtered: &[f64] = if bp.len() <= kernels::MAX_CHAIN_SECTIONS {
-                    let mut secs = [SosSection::<f64>::default(); kernels::MAX_CHAIN_SECTIONS];
-                    for (dst, s) in secs.iter_mut().zip(bp.sections().iter()) {
-                        *dst = SosSection::from_f64(s.b, s.a);
-                    }
-                    let pad =
-                        kernels::filtfilt_fused_in_ext(&secs[..bp.len()], ecg, &mut scratch.ext64);
-                    &scratch.ext64[pad..pad + ecg.len()]
-                } else {
-                    bp.filtfilt_into(ecg, &mut scratch.filtfilt, &mut scratch.filtered);
-                    &scratch.filtered
-                };
-                kernels::qrs_energy_into(filtered, fs, win, &mut scratch.ring, &mut scratch.mwi);
-                // 5a) Local maxima with the exact bucket-grid filter,
-                // 5b–6) adaptive thresholds, search-back, refinement.
-                local_maxima_into(
-                    &scratch.mwi,
-                    refractory.max(1),
-                    &mut scratch.peak_cand_keyed,
-                    &mut scratch.local_peaks,
-                    &mut scratch.peak_buckets,
-                );
-                self.decide_from_mwi(
-                    fs,
-                    win,
-                    min_len,
-                    &scratch.mwi,
-                    filtered,
-                    &scratch.local_peaks,
-                    &mut scratch.qrs,
-                    &mut scratch.rr_recent,
-                    out,
-                );
+        // 1) Band-pass; the filtered samples stay inside the padded work
+        //    buffer (no copy-out pass), downstream stages slice it.
+        //    2–4) fused derivative/squaring/MWI.
+        let filtered: &[f64] = if bp.len() <= kernels::MAX_CHAIN_SECTIONS {
+            let mut secs = [SosSection::<f64>::default(); kernels::MAX_CHAIN_SECTIONS];
+            for (dst, s) in secs.iter_mut().zip(bp.sections().iter()) {
+                *dst = SosSection::from_f64(s.b, s.a);
             }
-            ExtractPrecision::F32 => {
-                let mut secs = [SosSection::<f32>::default(); kernels::MAX_CHAIN_SECTIONS];
-                for (dst, s) in secs.iter_mut().zip(bp.sections().iter()) {
-                    *dst = SosSection::from_f64(s.b, s.a);
-                }
-                let pad = kernels::filtfilt_fused_from_f64_in_ext(
-                    &secs[..bp.len()],
-                    ecg,
-                    &mut scratch.ext32,
-                );
-                let filtered: &[f32] = &scratch.ext32[pad..pad + ecg.len()];
-                kernels::qrs_energy_into(
-                    filtered,
-                    fs,
-                    win,
-                    &mut scratch.ring32,
-                    &mut scratch.mwi32,
-                );
-                local_maxima_into(
-                    &scratch.mwi32,
-                    refractory.max(1),
-                    &mut scratch.peak_cand_keyed32,
-                    &mut scratch.local_peaks,
-                    &mut scratch.peak_buckets,
-                );
-                self.decide_from_mwi(
-                    fs,
-                    win,
-                    min_len,
-                    &scratch.mwi32,
-                    filtered,
-                    &scratch.local_peaks,
-                    &mut scratch.qrs,
-                    &mut scratch.rr_recent,
-                    out,
-                );
-            }
-        }
+            let pad = kernels::filtfilt_fused_in_ext(&secs[..bp.len()], ecg, &mut scratch.ext);
+            &scratch.ext[pad..pad + ecg.len()]
+        } else {
+            bp.filtfilt_into(ecg, &mut scratch.filtfilt, &mut scratch.filtered);
+            &scratch.filtered
+        };
+        kernels::qrs_energy_into(filtered, fs, win, &mut scratch.ring, &mut scratch.mwi);
+        // 5a) Local maxima with the exact bucket-grid filter,
+        // 5b–6) adaptive thresholds, search-back, refinement.
+        local_maxima_into(
+            &scratch.mwi,
+            refractory.max(1),
+            &mut scratch.peak_cand_keyed,
+            &mut scratch.local_peaks,
+            &mut scratch.peak_buckets,
+        );
+        self.decide_from_mwi(
+            fs,
+            win,
+            min_len,
+            &scratch.mwi,
+            filtered,
+            &scratch.local_peaks,
+            &mut scratch.qrs,
+            &mut scratch.rr_recent,
+            out,
+        );
         Ok(())
+    }
+
+    /// [`PanTompkins::detect_into`] under the name fleetbench's per-layer
+    /// replay compiles against; [`ExtractPrecision::F64`] is the only
+    /// precision. Kept only for that replay until the benchmark decouples
+    /// from extraction internals (ROADMAP item 1).
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`PanTompkins::detect`].
+    pub fn detect_into_with(
+        &self,
+        ecg: &[f64],
+        fs: f64,
+        _precision: ExtractPrecision,
+        scratch: &mut DetectScratch,
+        out: &mut QrsDetection,
+    ) -> Result<(), DspError> {
+        self.detect_into(ecg, fs, scratch, out)
     }
 
     /// Lane-batched detector: runs `L` same-length windows in lock-step
@@ -352,8 +294,7 @@ impl PanTompkins {
     /// the *identical* scalar decision stages (bucket-grid peak filter,
     /// adaptive thresholds/search-back, peak refinement) on
     /// deinterleaved slices. Lane `j`'s detection is bit-identical to
-    /// [`PanTompkins::detect_into_with`] on `windows[j]` alone at the
-    /// matching precision (`T = f64` ⇔ `F64`, `T = f32` ⇔ `F32`).
+    /// [`PanTompkins::detect_into`] on `windows[j]` alone.
     ///
     /// `outs[j]` receives lane `j`'s detection; all are cleared first.
     ///
@@ -700,7 +641,7 @@ fn local_maxima(x: &[f64], min_dist: usize) -> Vec<usize> {
 ///   packed into [`kernels::Scalar::Packed`] integers, whose ascending
 ///   order is exactly the reference's descending-`total_cmp` /
 ///   ascending-index stable sort — the sort compares registers instead of
-///   re-reading `x` per comparison (one register per candidate at `f32`).
+///   re-reading `x` per comparison.
 /// - **Roots first.** A candidate better than every other candidate
 ///   within `min_dist` cannot be suppressed, so the greedy keeps it, and
 ///   every candidate within `min_dist` of it is suppressed by it and,
@@ -1124,33 +1065,5 @@ mod tests {
             .detect_lanes_into(&sw, fs, &mut lanes4, &mut outs)
             .is_err());
         assert!(outs.iter().all(|o| o.peaks.is_empty()));
-    }
-
-    #[test]
-    fn f32_detection_tracks_f64_on_clean_rhythms() {
-        let fs = 128.0;
-        let det = PanTompkins::default();
-        let mut scratch = DetectScratch::default();
-        let mut lo = QrsDetection::default();
-        let mut hi = QrsDetection::default();
-        for (rr, dur) in [(0.8, 30.0), (0.6, 24.0)] {
-            let beats = regular_beats(0.5, rr, dur - 0.5);
-            let ecg = synth_ecg(fs, dur, &beats);
-            det.detect_into_with(&ecg, fs, ExtractPrecision::F32, &mut scratch, &mut lo)
-                .unwrap();
-            det.detect_into(&ecg, fs, &mut scratch, &mut hi).unwrap();
-            assert_eq!(lo.peaks.len(), hi.peaks.len(), "rr {rr}");
-            for (a, b) in lo.peaks.iter().zip(hi.peaks.iter()) {
-                // Same beats: indices within one sample, amplitudes within
-                // f32 rounding of the band-passed signal.
-                assert!(a.index.abs_diff(b.index) <= 1, "{} vs {}", a.index, b.index);
-                assert!(
-                    (a.amplitude - b.amplitude).abs() <= 1e-4 * b.amplitude.abs().max(1.0),
-                    "{} vs {}",
-                    a.amplitude,
-                    b.amplitude
-                );
-            }
-        }
     }
 }

@@ -5,8 +5,7 @@ use crate::edr::extract_edr;
 use crate::error::FeatureError;
 use crate::hrv::{clean_rr, hrv_features, HRV_NAMES, N_HRV};
 use crate::lorenz::{lorenz_features, LORENZ_NAMES, N_LORENZ};
-use crate::psd_feats::{psd_features_reference, psd_features_with, psd_names, N_PSD};
-use biodsp::kernels::ExtractPrecision;
+use crate::psd_feats::{psd_features, psd_features_reference, psd_names, N_PSD};
 use biodsp::qrs::{DetectScratch, LaneDetectScratch, PanTompkins, QrsDetection};
 use std::cell::RefCell;
 
@@ -73,15 +72,6 @@ pub struct WindowExtractor {
     pub fs: f64,
     /// QRS detector configuration.
     pub detector: PanTompkins,
-    /// Arithmetic precision of the sample-rate hot loops (band-pass
-    /// filtering, QRS energy, Welch FFTs). [`ExtractPrecision::F64`] —
-    /// the default — is bit-identical to the historical pipeline;
-    /// [`ExtractPrecision::F32`] trades last-bits feature accuracy for
-    /// speed, with classification identity pinned by the
-    /// `dsp_kernel_equivalence` suite. Beat-rate stages (HRV, Lorenz, AR,
-    /// EDR resampling) always run in `f64` — they are two orders of
-    /// magnitude off the hot path.
-    pub precision: ExtractPrecision,
 }
 
 thread_local! {
@@ -92,22 +82,11 @@ thread_local! {
 }
 
 impl WindowExtractor {
-    /// Extractor with default Pan–Tompkins settings at
-    /// [`ExtractPrecision::F64`].
+    /// Extractor with default Pan–Tompkins settings.
     pub fn new(fs: f64) -> Self {
         WindowExtractor {
             fs,
             detector: PanTompkins::default(),
-            precision: ExtractPrecision::default(),
-        }
-    }
-
-    /// Extractor with default Pan–Tompkins settings at the given
-    /// precision.
-    pub fn with_precision(fs: f64, precision: ExtractPrecision) -> Self {
-        WindowExtractor {
-            precision,
-            ..WindowExtractor::new(fs)
         }
     }
 
@@ -151,13 +130,7 @@ impl WindowExtractor {
     ) -> Result<(), FeatureError> {
         out.clear();
         self.detector
-            .detect_into_with(
-                ecg,
-                self.fs,
-                self.precision,
-                &mut scratch.detect,
-                &mut scratch.detection,
-            )
+            .detect_into(ecg, self.fs, &mut scratch.detect, &mut scratch.detection)
             .map_err(FeatureError::Dsp)?;
         self.finish_row(&scratch.detection, out)
     }
@@ -180,7 +153,7 @@ impl WindowExtractor {
         out.extend_from_slice(&hrv_features(&rr));
         out.extend_from_slice(&lorenz_features(&rr));
         out.extend_from_slice(&ar_features(&edr));
-        out.extend_from_slice(&psd_features_with(&edr, self.precision));
+        out.extend_from_slice(&psd_features(&edr));
         debug_assert_eq!(out.len(), N_FEATURES);
         Ok(())
     }
@@ -197,8 +170,8 @@ impl WindowExtractor {
     /// `sink(j, result)` is called once per window in index order;
     /// `Ok` carries the 53-feature row (borrowed from `scratch` — copy
     /// it out before the next window). Every row is bit-identical to
-    /// [`WindowExtractor::extract_into`] on that window alone, at both
-    /// precisions, and per-window errors are the scalar path's.
+    /// [`WindowExtractor::extract_into`] on that window alone, and
+    /// per-window errors are the scalar path's.
     pub fn extract_batch_into(
         &self,
         windows: &[&[f64]],
@@ -225,8 +198,7 @@ impl WindowExtractor {
                 8 => self.extract_group::<8>(
                     i,
                     &windows[i..i + 8],
-                    &mut scratch.l8_64,
-                    &mut scratch.l8_32,
+                    &mut scratch.l8,
                     &mut scratch.detections,
                     &mut scratch.row,
                     &mut scratch.scalar,
@@ -235,8 +207,7 @@ impl WindowExtractor {
                 4 => self.extract_group::<4>(
                     i,
                     &windows[i..i + 4],
-                    &mut scratch.l4_64,
-                    &mut scratch.l4_32,
+                    &mut scratch.l4,
                     &mut scratch.detections,
                     &mut scratch.row,
                     &mut scratch.scalar,
@@ -245,8 +216,7 @@ impl WindowExtractor {
                 2 => self.extract_group::<2>(
                     i,
                     &windows[i..i + 2],
-                    &mut scratch.l2_64,
-                    &mut scratch.l2_32,
+                    &mut scratch.l2,
                     &mut scratch.detections,
                     &mut scratch.row,
                     &mut scratch.scalar,
@@ -270,8 +240,7 @@ impl WindowExtractor {
         &self,
         base: usize,
         group: &[&[f64]],
-        lanes64: &mut LaneDetectScratch<f64, L>,
-        lanes32: &mut LaneDetectScratch<f32, L>,
+        lanes: &mut LaneDetectScratch<f64, L>,
         detections: &mut Vec<QrsDetection>,
         row: &mut Vec<f64>,
         scalar: &mut ExtractScratch,
@@ -280,21 +249,10 @@ impl WindowExtractor {
         if detections.len() < L {
             detections.resize_with(L, QrsDetection::default);
         }
-        let res = match self.precision {
-            ExtractPrecision::F64 => self.detector.detect_lanes_into::<f64, L>(
-                group,
-                self.fs,
-                lanes64,
-                &mut detections[..L],
-            ),
-            ExtractPrecision::F32 => self.detector.detect_lanes_into::<f32, L>(
-                group,
-                self.fs,
-                lanes32,
-                &mut detections[..L],
-            ),
-        };
-        match res {
+        match self
+            .detector
+            .detect_lanes_into(group, self.fs, lanes, &mut detections[..L])
+        {
             Ok(()) => {
                 for (lane, det) in detections[..L].iter().enumerate() {
                     let r = self.finish_row(det, row);
@@ -312,10 +270,10 @@ impl WindowExtractor {
 
     /// Pre-fusion reference extraction: staged QRS detection
     /// ([`biodsp::qrs::PanTompkins::detect_into_reference`]) and the
-    /// full-complex-FFT Welch path ([`psd_features_reference`]), always in
-    /// `f64`. Kept as the honest baseline for the `dsp_kernel_equivalence`
-    /// suite and the legacy bench row; at [`ExtractPrecision::F64`],
-    /// [`WindowExtractor::extract_into`] matches it bit for bit on the
+    /// full-complex-FFT Welch path ([`psd_features_reference`]). Kept as
+    /// the honest baseline for the `dsp_kernel_equivalence` suite and the
+    /// legacy bench row; [`WindowExtractor::extract_into`] matches it bit
+    /// for bit on the
     /// beat-derived features and to ≤1e-12 relative on the PSD bands.
     ///
     /// # Errors
@@ -359,8 +317,8 @@ pub struct ExtractScratch {
 }
 
 /// Reusable work state for [`WindowExtractor::extract_batch_into`]:
-/// one [`LaneDetectScratch`] per lane width and precision (the unused
-/// instantiations stay empty `Vec`s — a few pointers each), the shared
+/// one [`LaneDetectScratch`] per lane width (the unused ones stay empty
+/// `Vec`s — a few pointers each), the shared
 /// per-lane detections/row, and a scalar [`ExtractScratch`] for ragged
 /// tails and fallback. Buffers are sized by `window_len × L`, so keep
 /// one per *executor* (a fleet holds one per flush executor), not per
@@ -370,12 +328,9 @@ pub struct BatchExtractScratch {
     scalar: ExtractScratch,
     detections: Vec<QrsDetection>,
     row: Vec<f64>,
-    l2_64: LaneDetectScratch<f64, 2>,
-    l4_64: LaneDetectScratch<f64, 4>,
-    l8_64: LaneDetectScratch<f64, 8>,
-    l2_32: LaneDetectScratch<f32, 2>,
-    l4_32: LaneDetectScratch<f32, 4>,
-    l8_32: LaneDetectScratch<f32, 8>,
+    l2: LaneDetectScratch<f64, 2>,
+    l4: LaneDetectScratch<f64, 4>,
+    l8: LaneDetectScratch<f64, 8>,
 }
 
 #[cfg(test)]
@@ -521,34 +476,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batch_extraction_matches_scalar_at_f32() {
-        let fs = 128.0;
-        let extractor = WindowExtractor::with_precision(fs, ExtractPrecision::F32);
-        let windows: Vec<Vec<f64>> = [0.8, 0.5, 1.0, 0.7, 0.9, 0.6, 0.85, 0.75]
-            .iter()
-            .map(|&rr| synth_ecg(fs, 60.0, rr, 0.25))
-            .collect();
-        let refs: Vec<&[f64]> = windows.iter().map(|w| w.as_slice()).collect();
-        let mut scalar = ExtractScratch::default();
-        let mut want_row = Vec::new();
-        let mut seen = 0usize;
-        // One 8-lane f32 group: still bitwise against the scalar f32
-        // path.
-        let mut scratch = BatchExtractScratch::default();
-        extractor.extract_batch_into(&refs, &mut scratch, |j, r| {
-            let want = extractor.extract_into(refs[j], &mut scalar, &mut want_row);
-            assert_eq!(r.is_ok(), want.is_ok());
-            if let Ok(row) = r {
-                for (a, b) in row.iter().zip(want_row.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "window {j}");
-                }
-            }
-            seen += 1;
-        });
-        assert_eq!(seen, refs.len());
     }
 
     #[test]

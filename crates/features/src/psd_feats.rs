@@ -10,7 +10,7 @@
 
 use crate::edr::EdrSeries;
 use biodsp::kernels::ExtractPrecision;
-use biodsp::psd::{welch_reference, welch_with};
+use biodsp::psd::{welch, welch_reference};
 use biodsp::window::WindowKind;
 
 /// Number of PSD band features.
@@ -49,11 +49,28 @@ pub fn psd_names() -> Vec<String> {
 ///
 /// Degenerate series yield all zeros.
 ///
-/// Uses the plan-cached real-input Welch path at
-/// [`ExtractPrecision::F64`]; see [`psd_features_with`] and
+/// Uses the plan-cached real-input Welch path; see
 /// [`psd_features_reference`].
 pub fn psd_features(edr: &EdrSeries) -> [f64; N_PSD] {
-    psd_features_with(edr, ExtractPrecision::F64)
+    let mut out = [0.0; N_PSD];
+    if edr.samples.len() < 16 {
+        return out;
+    }
+    let nperseg = edr_nperseg(edr.samples.len());
+    let spec = match welch(&edr.samples, edr.fs, nperseg, 0.5, WindowKind::Hann) {
+        Ok(s) => s,
+        Err(_) => return out,
+    };
+    band_log_powers(&spec, &mut out);
+    out
+}
+
+/// [`psd_features`] under the name fleetbench's per-layer replay
+/// compiles against; [`ExtractPrecision::F64`] is the only precision.
+/// Kept only for that replay until the benchmark decouples from
+/// extraction internals (ROADMAP item 1).
+pub fn psd_features_with(edr: &EdrSeries, _precision: ExtractPrecision) -> [f64; N_PSD] {
+    psd_features(edr)
 }
 
 /// Welch segment length for an EDR series of `n` samples.
@@ -62,30 +79,6 @@ fn edr_nperseg(n: usize) -> usize {
         .min(256)
         .min(n.next_power_of_two() / 2)
         .max(16)
-}
-
-/// Precision-dispatching twin of [`psd_features`]: the Welch
-/// detrend/window/FFT arithmetic runs at `precision`, band integration and
-/// log-compression stay `f64`.
-pub fn psd_features_with(edr: &EdrSeries, precision: ExtractPrecision) -> [f64; N_PSD] {
-    let mut out = [0.0; N_PSD];
-    if edr.samples.len() < 16 {
-        return out;
-    }
-    let nperseg = edr_nperseg(edr.samples.len());
-    let spec = match welch_with(
-        &edr.samples,
-        edr.fs,
-        nperseg,
-        0.5,
-        WindowKind::Hann,
-        precision,
-    ) {
-        Ok(s) => s,
-        Err(_) => return out,
-    };
-    band_log_powers(&spec, &mut out);
-    out
 }
 
 /// Pre-fusion reference twin of [`psd_features`], built on

@@ -62,6 +62,5 @@ pub mod prelude {
     pub use seizure_core::fleet::{FleetConfig, FleetScheduler, FleetStats, OverloadPolicy};
     pub use seizure_core::stream::{StreamConfig, StreamStats, StreamingSession, WindowDecision};
     pub use seizure_core::trained::FloatPipeline;
-    pub use seizure_core::ExtractPrecision;
     pub use svm::{decision_is_seizure, ClassifierEngine, Kernel};
 }

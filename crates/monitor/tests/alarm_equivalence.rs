@@ -2,8 +2,8 @@
 //! the alarm subsystem's acceptance property:
 //!
 //! For a synthesised session fed to an alarmed [`StreamingSession`] in
-//! arbitrary chunk sizes (fixed sweep plus a deterministic xorshift
-//! sweep), the raised [`AlarmEvent`]s are **identical** (every field) to
+//! arbitrary chunk sizes (fixed sweep plus a deterministic seeded
+//! random sweep), the raised [`AlarmEvent`]s are **identical** (every field) to
 //! running [`AlarmStateMachine::scan`] over the batch decision sequence
 //! of the same windows — for both the float pipeline and the quantised
 //! engine. Also pins the `decision == 0.0` boundary regression through
@@ -17,6 +17,8 @@ use seizure_core::alarm::{
     EventScoring,
 };
 use seizure_core::eval::Confusion;
+use simrand::rngs::StdRng;
+use simrand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -31,20 +33,6 @@ fn pipeline() -> &'static FloatPipeline {
         let matrix = build_feature_matrix(spec());
         FloatPipeline::fit(&matrix, &FitConfig::default()).expect("fit on Tiny cohort")
     })
-}
-
-/// xorshift64* chunk-size driver (deterministic).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
 }
 
 fn run_chunked_alarmed(
@@ -131,15 +119,16 @@ fn streaming_alarms_match_batch_scan_for_both_engines() {
                 assert_eq!(monitor.stats().alarms, reference.len() as u64);
             }
 
-            // Deterministic xorshift sweep over random chunkings.
-            let mut rng = XorShift(0xA1A2_0000 ^ name.len() as u64 ^ alarm_cfg.n as u64);
+            // Deterministic seeded sweep over random chunkings.
+            let mut rng =
+                StdRng::seed_from_u64(0xA1A2_0000 ^ name.len() as u64 ^ alarm_cfg.n as u64);
             for _round in 0..3 {
                 let mut monitor =
                     StreamingSession::with_alarms(Arc::clone(engine), cfg, alarm_cfg).unwrap();
                 let (_, streamed) = run_chunked_alarmed(&mut monitor, &rec.ecg, || {
-                    1 + (rng.next() as usize) % (2 * cfg.window_len)
+                    1 + (rng.next_u64() as usize) % (2 * cfg.window_len)
                 });
-                assert_eq!(streamed, reference, "{name}/xorshift/{alarm_cfg:?}");
+                assert_eq!(streamed, reference, "{name}/random/{alarm_cfg:?}");
             }
         }
     }

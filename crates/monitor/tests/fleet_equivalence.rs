@@ -8,7 +8,7 @@
 //! **bit-identical** (f64 bit patterns) to replaying that patient alone
 //! through a solo [`StreamingSession`] — for both the float pipeline
 //! and the quantised engine, under fixed round-robin and deterministic
-//! xorshift-random interleavings, with the alarm stage enabled under
+//! seeded random interleavings, with the alarm stage enabled under
 //! **both** [`DroppedPolicy`] variants (each stream is prefixed with a
 //! flat window so a real dropped window exercises the policies), and at
 //! **every flush executor count** — serial (`workers = Some(1)`), a
@@ -23,6 +23,8 @@ use epilepsy_monitor::fleet::FleetMonitor;
 use epilepsy_monitor::prelude::*;
 use seizure_core::alarm::{truth_events, AlarmEvent, DroppedPolicy, TruthEvent};
 use seizure_core::stream::{SharedEngine, StreamingSession, WindowDecision};
+use simrand::rngs::StdRng;
+use simrand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -67,20 +69,6 @@ fn engines() -> Vec<(&'static str, SharedEngine)> {
         ("float", Arc::new(p.clone()) as SharedEngine),
         ("quantized", Arc::new(quantized) as SharedEngine),
     ]
-}
-
-/// xorshift64* driver (deterministic).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
 }
 
 /// Solo reference: each patient alone through a `StreamingSession` with
@@ -277,22 +265,23 @@ fn fleet_alarms_match_solo_for_both_engines_and_both_dropped_policies() {
             // Deterministic random interleavings: random patient picks,
             // random chunk sizes straddling window boundaries, random
             // flush points — each round at a different executor count,
-            // so the worker matrix rides the same xorshift schedules.
+            // so the worker matrix rides the same seeded schedules.
             for round in 0..2u64 {
                 for workers in WORKER_COUNTS {
-                    let mut pick_rng = XorShift(0x00C0_FFEE ^ (round << 8) ^ name.len() as u64);
-                    let mut len_rng = XorShift(0xD15E_A5E5 ^ round);
-                    let mut flush_rng = XorShift(0x0BAD_F00D ^ (round << 16));
+                    let mut pick_rng =
+                        StdRng::seed_from_u64(0x00C0_FFEE ^ (round << 8) ^ name.len() as u64);
+                    let mut len_rng = StdRng::seed_from_u64(0xD15E_A5E5 ^ round);
+                    let mut flush_rng = StdRng::seed_from_u64(0x0BAD_F00D ^ (round << 16));
                     check_fleet(
-                        &format!("{name}/{policy_name}/xorshift-{round}/workers-{workers:?}"),
+                        &format!("{name}/{policy_name}/random-{round}/workers-{workers:?}"),
                         engine,
                         cfg,
                         Some(alarm_cfg),
                         workers,
                         cohort,
-                        move |n| pick_rng.next() as usize % n.max(1),
-                        move || 1 + (len_rng.next() as usize) % (2 * cfg.window_len),
-                        move || flush_rng.next().is_multiple_of(3),
+                        move |n| pick_rng.next_u64() as usize % n.max(1),
+                        move || 1 + (len_rng.next_u64() as usize) % (2 * cfg.window_len),
+                        move || flush_rng.next_u64().is_multiple_of(3),
                     );
                 }
             }

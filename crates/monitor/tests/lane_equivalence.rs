@@ -4,8 +4,7 @@
 //! * **lane detection vs scalar, bit-identity at every width** — the
 //!   lock-step Pan–Tompkins path (`detect_lanes_into`) reproduces the
 //!   scalar fused detector bit for bit on real cohort windows for every
-//!   lane width L ∈ {2, 4, 8}, at both `ExtractPrecision` variants
-//!   (`f64` lanes ⇔ `F64`, `f32` lanes ⇔ `F32`);
+//!   lane width L ∈ {2, 4, 8};
 //! * **batched extraction vs scalar, ragged tails included** — the
 //!   greedy lane packer behind `extract_batch_into` yields feature rows
 //!   bit-identical to one-at-a-time `extract_into` for every batch
@@ -14,14 +13,12 @@
 //! * **fleet lane packing is invisible** — a fleet multiplexing mixed
 //!   patients through large interleaved chunks (multi-window backlogs per
 //!   session) or staggered 1-s chunks (lane groups that span patients)
-//!   stays bit-identical to solo streaming, at both precisions and
-//!   across flush executor counts.
+//!   stays bit-identical to solo streaming across flush executor counts.
 
 use epilepsy_monitor::dsp::qrs::{DetectScratch, LaneDetectScratch, PanTompkins, QrsDetection};
 use epilepsy_monitor::features::extract::{BatchExtractScratch, ExtractScratch, WindowExtractor};
 use epilepsy_monitor::prelude::*;
 use seizure_core::stream::{SharedEngine, StreamingSession, WindowDecision};
-use seizure_core::ExtractPrecision;
 use std::sync::{Arc, OnceLock};
 
 fn spec() -> &'static DatasetSpec {
@@ -47,29 +44,21 @@ fn assert_detection_bitwise(label: &str, got: &QrsDetection, want: &QrsDetection
 }
 
 /// Checks every chunk of `L` consecutive cohort windows through the lane
-/// detector against the scalar fused detector, both precisions.
+/// detector against the scalar fused detector.
 fn check_lane_width<const L: usize>(windows: &[&[f64]], fs: f64) -> usize {
     let det = PanTompkins::default();
     let mut scalar = DetectScratch::default();
-    let mut lanes64 = LaneDetectScratch::<f64, L>::default();
-    let mut lanes32 = LaneDetectScratch::<f32, L>::default();
+    let mut lanes = LaneDetectScratch::<f64, L>::default();
     let mut expect = QrsDetection::default();
     let mut outs: Vec<QrsDetection> = (0..L).map(|_| QrsDetection::default()).collect();
     let mut groups = 0usize;
     for group in windows.chunks_exact(L) {
-        det.detect_lanes_into::<f64, L>(group, fs, &mut lanes64, &mut outs)
-            .expect("lane f64 detect");
+        det.detect_lanes_into::<f64, L>(group, fs, &mut lanes, &mut outs)
+            .expect("lane detect");
         for (j, w) in group.iter().enumerate() {
-            det.detect_into_with(w, fs, ExtractPrecision::F64, &mut scalar, &mut expect)
-                .expect("scalar f64 detect");
-            assert_detection_bitwise(&format!("L={L} f64 lane {j}"), &outs[j], &expect);
-        }
-        det.detect_lanes_into::<f32, L>(group, fs, &mut lanes32, &mut outs)
-            .expect("lane f32 detect");
-        for (j, w) in group.iter().enumerate() {
-            det.detect_into_with(w, fs, ExtractPrecision::F32, &mut scalar, &mut expect)
-                .expect("scalar f32 detect");
-            assert_detection_bitwise(&format!("L={L} f32 lane {j}"), &outs[j], &expect);
+            det.detect_into(w, fs, &mut scalar, &mut expect)
+                .expect("scalar detect");
+            assert_detection_bitwise(&format!("L={L} lane {j}"), &outs[j], &expect);
         }
         groups += 1;
     }
@@ -96,56 +85,50 @@ fn lane_detection_matches_scalar_bitwise_at_every_width() {
 fn batched_extraction_matches_scalar_bitwise_including_ragged_tails() {
     let spec = spec();
     let window_s = spec.scale.window_s();
-    for precision in [ExtractPrecision::F64, ExtractPrecision::F32] {
-        let mut batch_scratch = BatchExtractScratch::default();
-        let mut scalar_scratch = ExtractScratch::default();
-        let mut expect = Vec::new();
-        let mut compared = 0usize;
-        for sess in &spec.sessions {
-            let rec = sess.synthesize();
-            let extractor = WindowExtractor::with_precision(rec.fs, precision);
-            let labels = rec.window_labels(window_s);
-            let windows: Vec<&[f64]> = labels.iter().map(|l| rec.window_samples(l)).collect();
-            // Every prefix size up to 9 plus the whole session: covers
-            // pure widths (2, 4, 8), ragged tails that cascade 8 → 4 →
-            // 2 → scalar (3, 5, 6, 7, 9) and the packer's full-stream
-            // grouping, all against one-at-a-time scalar extraction.
-            let mut sizes: Vec<usize> = (2..=9.min(windows.len())).collect();
-            sizes.push(windows.len());
-            for take in sizes {
-                extractor.extract_batch_into(&windows[..take], &mut batch_scratch, |j, got| {
-                    let want = extractor.extract_into(windows[j], &mut scalar_scratch, &mut expect);
-                    match (got, want) {
-                        (Ok(row), Ok(())) => {
-                            assert_eq!(row.len(), expect.len());
-                            for (k, (a, b)) in row.iter().zip(expect.iter()).enumerate() {
-                                assert_eq!(
-                                    a.to_bits(),
-                                    b.to_bits(),
-                                    "{precision:?} take {take} window {j} feature {k}: {a} vs {b}"
-                                );
-                            }
-                            compared += 1;
+    let mut batch_scratch = BatchExtractScratch::default();
+    let mut scalar_scratch = ExtractScratch::default();
+    let mut expect = Vec::new();
+    let mut compared = 0usize;
+    for sess in &spec.sessions {
+        let rec = sess.synthesize();
+        let extractor = WindowExtractor::new(rec.fs);
+        let labels = rec.window_labels(window_s);
+        let windows: Vec<&[f64]> = labels.iter().map(|l| rec.window_samples(l)).collect();
+        // Every prefix size up to 9 plus the whole session: covers
+        // pure widths (2, 4, 8), ragged tails that cascade 8 → 4 →
+        // 2 → scalar (3, 5, 6, 7, 9) and the packer's full-stream
+        // grouping, all against one-at-a-time scalar extraction.
+        let mut sizes: Vec<usize> = (2..=9.min(windows.len())).collect();
+        sizes.push(windows.len());
+        for take in sizes {
+            extractor.extract_batch_into(&windows[..take], &mut batch_scratch, |j, got| {
+                let want = extractor.extract_into(windows[j], &mut scalar_scratch, &mut expect);
+                match (got, want) {
+                    (Ok(row), Ok(())) => {
+                        assert_eq!(row.len(), expect.len());
+                        for (k, (a, b)) in row.iter().zip(expect.iter()).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "take {take} window {j} feature {k}: {a} vs {b}"
+                            );
                         }
-                        (Err(e), Err(we)) => assert_eq!(
-                            e, we,
-                            "{precision:?} take {take} window {j}: drop reasons differ"
-                        ),
-                        (got, want) => panic!(
-                            "{precision:?} take {take} window {j}: drop-state mismatch \
-                             (batch ok={}, scalar ok={})",
-                            got.is_ok(),
-                            want.is_ok()
-                        ),
+                        compared += 1;
                     }
-                });
-            }
+                    (Err(e), Err(we)) => {
+                        assert_eq!(e, we, "take {take} window {j}: drop reasons differ")
+                    }
+                    (got, want) => panic!(
+                        "take {take} window {j}: drop-state mismatch \
+                         (batch ok={}, scalar ok={})",
+                        got.is_ok(),
+                        want.is_ok()
+                    ),
+                }
+            });
         }
-        assert!(
-            compared > 50,
-            "{precision:?}: too few rows compared: {compared}"
-        );
     }
+    assert!(compared > 50, "too few rows compared: {compared}");
 }
 
 #[test]
@@ -163,72 +146,67 @@ fn fleet_lane_packing_is_bit_identical_to_solo_streaming() {
         .map(|s| s.synthesize().ecg)
         .collect();
     let engine: SharedEngine = Arc::new(pipeline().clone());
-    for precision in [ExtractPrecision::F64, ExtractPrecision::F32] {
-        let cfg = StreamConfig::non_overlapping(fs, window_s)
-            .expect("stream config")
-            .with_precision(precision);
-        // Solo reference: each patient alone, whole stream in one push —
-        // itself lane-packed, and pinned bit-identical to scalar by the
-        // extraction tests above.
-        let reference: Vec<Vec<WindowDecision>> = cohort
-            .iter()
-            .map(|samples| {
-                let mut s = StreamingSession::new(Arc::clone(&engine), cfg).expect("session");
-                s.push_samples(samples)
-            })
-            .collect();
-        for workers in [Some(1), Some(2), None] {
-            let fleet_cfg = FleetConfig {
-                workers,
-                ..FleetConfig::unbounded(cfg)
-            };
-            let mut fleet =
-                FleetScheduler::new(Arc::clone(&engine), fleet_cfg).expect("fleet config");
-            for p in 0..cohort.len() as u64 {
-                fleet.admit(p).expect("admit");
-            }
-            let mut decisions: Vec<Vec<WindowDecision>> = vec![Vec::new(); cohort.len()];
-            let mut cursors = vec![0usize; cohort.len()];
-            // Round-robin 5-window chunks with a flush every full round:
-            // every settle packs a 4-window group plus carry-over, and
-            // patients stay interleaved within each flush.
-            let chunk = 5 * cfg.window_len;
-            let mut live = true;
-            while live {
-                live = false;
-                for (p, samples) in cohort.iter().enumerate() {
-                    let cur = cursors[p];
-                    if cur == samples.len() {
-                        continue;
-                    }
-                    let len = chunk.min(samples.len() - cur);
-                    fleet
-                        .ingest(p as u64, &samples[cur..cur + len])
-                        .expect("ingest");
-                    cursors[p] += len;
-                    live = true;
+    let cfg = StreamConfig::non_overlapping(fs, window_s).expect("stream config");
+    // Solo reference: each patient alone, whole stream in one push —
+    // itself lane-packed, and pinned bit-identical to scalar by the
+    // extraction tests above.
+    let reference: Vec<Vec<WindowDecision>> = cohort
+        .iter()
+        .map(|samples| {
+            let mut s = StreamingSession::new(Arc::clone(&engine), cfg).expect("session");
+            s.push_samples(samples)
+        })
+        .collect();
+    for workers in [Some(1), Some(2), None] {
+        let fleet_cfg = FleetConfig {
+            workers,
+            ..FleetConfig::unbounded(cfg)
+        };
+        let mut fleet = FleetScheduler::new(Arc::clone(&engine), fleet_cfg).expect("fleet config");
+        for p in 0..cohort.len() as u64 {
+            fleet.admit(p).expect("admit");
+        }
+        let mut decisions: Vec<Vec<WindowDecision>> = vec![Vec::new(); cohort.len()];
+        let mut cursors = vec![0usize; cohort.len()];
+        // Round-robin 5-window chunks with a flush every full round:
+        // every settle packs a 4-window group plus carry-over, and
+        // patients stay interleaved within each flush.
+        let chunk = 5 * cfg.window_len;
+        let mut live = true;
+        while live {
+            live = false;
+            for (p, samples) in cohort.iter().enumerate() {
+                let cur = cursors[p];
+                if cur == samples.len() {
+                    continue;
                 }
-                for d in fleet.flush().decisions {
-                    decisions[d.patient as usize].push(d.decision);
-                }
+                let len = chunk.min(samples.len() - cur);
+                fleet
+                    .ingest(p as u64, &samples[cur..cur + len])
+                    .expect("ingest");
+                cursors[p] += len;
+                live = true;
             }
-            for (p, reference) in reference.iter().enumerate() {
+            for d in fleet.flush().decisions {
+                decisions[d.patient as usize].push(d.decision);
+            }
+        }
+        for (p, reference) in reference.iter().enumerate() {
+            assert_eq!(
+                decisions[p].len(),
+                reference.len(),
+                "workers {workers:?}: patient {p} window count"
+            );
+            for (a, b) in decisions[p].iter().zip(reference.iter()) {
+                assert_eq!(a.window_index, b.window_index);
                 assert_eq!(
-                    decisions[p].len(),
-                    reference.len(),
-                    "{precision:?} workers {workers:?}: patient {p} window count"
+                    a.decision.map(f64::to_bits),
+                    b.decision.map(f64::to_bits),
+                    "workers {workers:?}: patient {p} window {} \
+                     must be bit-identical",
+                    a.window_index
                 );
-                for (a, b) in decisions[p].iter().zip(reference.iter()) {
-                    assert_eq!(a.window_index, b.window_index);
-                    assert_eq!(
-                        a.decision.map(f64::to_bits),
-                        b.decision.map(f64::to_bits),
-                        "{precision:?} workers {workers:?}: patient {p} window {} \
-                         must be bit-identical",
-                        a.window_index
-                    );
-                    assert_eq!(a.is_seizure, b.is_seizure);
-                }
+                assert_eq!(a.is_seizure, b.is_seizure);
             }
         }
     }

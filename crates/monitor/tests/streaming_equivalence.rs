@@ -3,7 +3,7 @@
 //!
 //! For a synthesised session fed to [`StreamingSession`] in **arbitrary
 //! chunk sizes** (1 sample up to the whole session, plus a deterministic
-//! xorshift sweep), the per-window decisions are **bit-identical** (f64
+//! seeded random sweep), the per-window decisions are **bit-identical** (f64
 //! bit patterns) to the batch path — extract the same windows, classify
 //! the block through the same engine — for both the float pipeline and
 //! the quantised engine. Windows the batch path drops (failed
@@ -11,6 +11,8 @@
 
 use epilepsy_monitor::fleet::load_engine;
 use epilepsy_monitor::prelude::*;
+use simrand::rngs::StdRng;
+use simrand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 
 fn spec() -> &'static DatasetSpec {
@@ -90,20 +92,6 @@ fn assert_stream_matches_batch(
     }
 }
 
-/// xorshift64* chunk-size driver (deterministic).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
 fn run_chunked(
     monitor: &mut StreamingSession,
     ecg: &[f64],
@@ -178,19 +166,19 @@ fn streaming_is_bit_identical_to_batch_for_both_engines() {
             );
         }
 
-        // Deterministic xorshift sweep over random chunkings.
-        let mut rng = XorShift(0xD15E_A5E5 ^ name.len() as u64);
+        // Deterministic seeded sweep over random chunkings.
+        let mut rng = StdRng::seed_from_u64(0xD15E_A5E5 ^ name.len() as u64);
         for _round in 0..4 {
             let mut monitor =
                 StreamingSession::new(Arc::clone(engine), cfg).expect("monitor config");
             let decisions = run_chunked(&mut monitor, &rec.ecg, || {
-                1 + (rng.next() as usize) % (2 * cfg.window_len)
+                1 + (rng.next_u64() as usize) % (2 * cfg.window_len)
             });
             assert_stream_matches_batch(
                 &decisions,
                 &reference,
                 cfg.window_len,
-                &format!("{name}/xorshift"),
+                &format!("{name}/random"),
             );
         }
     }

@@ -503,11 +503,6 @@ pub struct FleetScheduler {
     /// row-serving hot path.
     ids: Vec<PatientId>,
     slots: Vec<Slot>,
-    /// Slot index of the most recent lookup — live traffic arrives in
-    /// per-patient bursts (consecutive rows/chunks of one device), so
-    /// this one-entry cache turns most ingest lookups into a single
-    /// compare. Invalidated whenever `ids` shifts (admit/remove).
-    last_idx: usize,
     /// Raw-sample ingest calls (in fleet-wide order) whose windows are
     /// still awaiting the deferred extract stage — the replay script
     /// that reconstructs fleet-wide ingest order at flush time.
@@ -579,7 +574,6 @@ impl FleetScheduler {
             cfg,
             ids: Vec::new(),
             slots: Vec::new(),
-            last_idx: usize::MAX,
             pending_chunks: Vec::new(),
             stats: FleetStats::default(),
             values: Vec::new(),
@@ -642,17 +636,6 @@ impl FleetScheduler {
         self.ids.binary_search(&patient).ok()
     }
 
-    /// [`FleetScheduler::slot_index`] through the one-entry burst cache
-    /// — the ingest/replay hot path.
-    fn slot_index_cached(&mut self, patient: PatientId) -> Option<usize> {
-        if self.ids.get(self.last_idx) == Some(&patient) {
-            return Some(self.last_idx);
-        }
-        let idx = self.slot_index(patient)?;
-        self.last_idx = idx;
-        Some(idx)
-    }
-
     /// Admits a new patient with a fresh session (alarm stage per the
     /// fleet configuration).
     ///
@@ -669,7 +652,6 @@ impl FleetScheduler {
         let session = self.fresh_session()?;
         self.ids.insert(pos, patient);
         self.slots.insert(pos, Slot::new(session));
-        self.last_idx = usize::MAX; // indices shifted
         self.fair_cursor = 0; // indices shifted
         self.stats.admitted += 1;
         self.stats.patients = self.ids.len();
@@ -692,7 +674,6 @@ impl FleetScheduler {
         };
         self.ids.remove(idx);
         let mut slot = self.slots.remove(idx);
-        self.last_idx = usize::MAX; // indices shifted
         self.fair_cursor = 0; // indices shifted
         let discarded_rows = slot.pending_rows;
         let discarded = slot.queue.len() + slot.session.assembled_windows();
@@ -764,7 +745,7 @@ impl FleetScheduler {
     /// two ingest modes number windows independently and must not mix
     /// on one session).
     pub fn ingest(&mut self, patient: PatientId, chunk: &[f64]) -> Result<usize, CoreError> {
-        let Some(idx) = self.slot_index_cached(patient) else {
+        let Some(idx) = self.slot_index(patient) else {
             return Err(CoreError::InvalidConfig(format!(
                 "patient {patient} is not admitted"
             )));
@@ -807,7 +788,7 @@ impl FleetScheduler {
         // A *serving* clock (`FleetConfig::tick`) does stamp each row's
         // arrival — that single read is what decision-latency
         // histograms are made of, and a virtual clock reads for free.
-        let Some(idx) = self.slot_index_cached(patient) else {
+        let Some(idx) = self.slot_index(patient) else {
             return Err(CoreError::InvalidConfig(format!(
                 "patient {patient} is not admitted"
             )));
@@ -1118,7 +1099,7 @@ impl FleetScheduler {
         let records = std::mem::take(&mut self.pending_chunks);
         for rec in &records {
             let idx = self
-                .slot_index_cached(rec.patient)
+                .slot_index(rec.patient)
                 // lint: allow(hot-panic) — invariant: `pending_chunks` records
                 // are purged in `remove_patient`, so a live record always has
                 // a slot.

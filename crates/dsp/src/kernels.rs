@@ -634,12 +634,12 @@ impl<T: Scalar> RfftPlan<T> {
 mod tests {
     use super::*;
     use crate::fft::{dft, Complex};
+    use simrand::rngs::StdRng;
+    use simrand::{Rng, SeedableRng};
 
-    fn xorshift(seed: &mut u64) -> f64 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        (*seed as f64 / u64::MAX as f64) - 0.5
+    /// Uniform noise in `[-0.5, 0.5)`.
+    fn noise(rng: &mut StdRng) -> f64 {
+        rng.gen::<f64>() - 0.5
     }
 
     #[test]
@@ -670,8 +670,8 @@ mod tests {
             }
         }
         // Random sweep: sorting by key must equal sorting by total_cmp.
-        let mut seed = 0xC0FFEE_u64;
-        let mut xs: Vec<f64> = (0..512).map(|_| xorshift(&mut seed) * 1e6).collect();
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut xs: Vec<f64> = (0..512).map(|_| noise(&mut rng) * 1e6).collect();
         let mut by_key = xs.clone();
         xs.sort_by(|a, b| a.total_cmp(b));
         by_key.sort_by_key(|v| Scalar::sort_key(*v));
@@ -690,8 +690,8 @@ mod tests {
     #[test]
     fn chain_matches_per_section_sweeps_bitwise() {
         let fs = 128.0;
-        let mut seed = 0xD5_u64;
-        let sig: Vec<f64> = (0..777).map(|_| xorshift(&mut seed)).collect();
+        let mut rng = StdRng::seed_from_u64(0xD5);
+        let sig: Vec<f64> = (0..777).map(|_| noise(&mut rng)).collect();
         for n_sections in 1..=4usize {
             let cascade =
                 crate::filter::SosCascade::butterworth_bandpass(5.0, 15.0, fs, n_sections).unwrap();
@@ -723,9 +723,9 @@ mod tests {
     #[test]
     fn qrs_energy_matches_staged_passes_bitwise() {
         let fs = 128.0;
-        let mut seed = 0xBEEF_u64;
+        let mut rng = StdRng::seed_from_u64(0xBEEF);
         for n in [1usize, 3, 4, 5, 19, 640] {
-            let sig: Vec<f64> = (0..n).map(|_| xorshift(&mut seed)).collect();
+            let sig: Vec<f64> = (0..n).map(|_| noise(&mut rng)).collect();
             for win in [1usize, 2, 19, 64] {
                 let d = crate::filter::five_point_derivative(&sig, fs);
                 let sq: Vec<f64> = d.iter().map(|v| v * v).collect();
@@ -750,9 +750,9 @@ mod tests {
 
     #[test]
     fn rfft_plan_matches_naive_dft() {
-        let mut seed = 0xACE_u64;
+        let mut rng = StdRng::seed_from_u64(0xACE);
         for n in [2usize, 4, 8, 64, 128] {
-            let sig: Vec<f64> = (0..n).map(|_| xorshift(&mut seed)).collect();
+            let sig: Vec<f64> = (0..n).map(|_| noise(&mut rng)).collect();
             let naive = dft(&sig
                 .iter()
                 .map(|&v| Complex::new(v, 0.0))

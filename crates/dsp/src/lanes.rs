@@ -389,18 +389,18 @@ mod tests {
     use super::*;
     use crate::filter::SosCascade;
     use crate::kernels::{filtfilt_fused_in_ext, qrs_energy_into};
+    use simrand::rngs::StdRng;
+    use simrand::{Rng, SeedableRng};
 
-    fn xorshift(seed: &mut u64) -> f64 {
-        *seed ^= *seed << 13;
-        *seed ^= *seed >> 7;
-        *seed ^= *seed << 17;
-        (*seed as f64 / u64::MAX as f64) - 0.5
+    /// Uniform noise in `[-0.5, 0.5)`.
+    fn noise(rng: &mut StdRng) -> f64 {
+        rng.gen::<f64>() - 0.5
     }
 
     fn signals(n: usize, count: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut s = seed;
+        let mut rng = StdRng::seed_from_u64(seed);
         (0..count)
-            .map(|_| (0..n).map(|_| xorshift(&mut s)).collect())
+            .map(|_| (0..n).map(|_| noise(&mut rng)).collect())
             .collect()
     }
 
@@ -525,9 +525,9 @@ mod tests {
 
     #[test]
     fn one_pass_deinterleave_matches_per_lane() {
-        let mut seed = 7u64;
+        let mut rng = StdRng::seed_from_u64(7);
         let soa: Vec<[f64; 4]> = (0..257)
-            .map(|_| std::array::from_fn(|_| xorshift(&mut seed)))
+            .map(|_| std::array::from_fn(|_| noise(&mut rng)))
             .collect();
         // The blocked unpack appends after whatever a lane already holds.
         let mut all: [Vec<f64>; 4] = std::array::from_fn(|_| vec![9.0; 3]);

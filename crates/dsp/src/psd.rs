@@ -423,6 +423,8 @@ pub fn linspace(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simrand::rngs::StdRng;
+    use simrand::{Rng, SeedableRng};
 
     fn tone(fs: f64, f: f64, n: usize, amp: f64) -> Vec<f64> {
         (0..n)
@@ -475,15 +477,8 @@ mod tests {
     fn welch_reduces_variance_of_estimate() {
         // White noise: Welch estimate should be flatter than the raw
         // periodogram. Compare coefficient of variation across bins.
-        let mut seed = 0x12345678u64;
-        let mut rand = || {
-            // xorshift
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed as f64 / u64::MAX as f64) - 0.5
-        };
-        let sig: Vec<f64> = (0..4096).map(|_| rand()).collect();
+        let mut rng = StdRng::seed_from_u64(0x12345678);
+        let sig: Vec<f64> = (0..4096).map(|_| rng.gen::<f64>() - 0.5).collect();
         let fs = 100.0;
         let raw = periodogram(&sig, fs, WindowKind::Hann).unwrap();
         let wel = welch(&sig, fs, 256, 0.5, WindowKind::Hann).unwrap();

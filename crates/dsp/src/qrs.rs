@@ -789,6 +789,8 @@ fn local_maxima_into_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simrand::rngs::StdRng;
+    use simrand::{Rng, SeedableRng};
     use std::f64::consts::PI;
 
     /// Minimal synthetic ECG: Gaussian R spikes on a noisy wandering
@@ -964,16 +966,10 @@ mod tests {
         assert!(!peaks.contains(&3)); // too close to index 1 or 5, smaller
     }
 
-    /// Deterministic xorshift64* stream in [0, 1).
-    fn xorshift_stream(mut state: u64, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect()
+    /// Deterministic uniform stream in [0, 1).
+    fn uniform_stream(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen()).collect()
     }
 
     #[test]
@@ -985,7 +981,7 @@ mod tests {
         let mut kept_ref = Vec::new();
         for seed in [1u64, 42, 9_000_001] {
             for n in [3usize, 10, 257, 2048] {
-                let noise = xorshift_stream(seed, n);
+                let noise = uniform_stream(seed, n);
                 // Values on a coarse grid (equal-valued candidates must
                 // resolve by index), and a ramp under the noise (long
                 // chains of ever-better neighbours, few roots).

@@ -175,20 +175,8 @@ impl WindowAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// xorshift64* — deterministic chunk-size driver for the sweeps.
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        }
-    }
+    use simrand::rngs::StdRng;
+    use simrand::{Rng, SeedableRng};
 
     fn push_all(a: &mut WindowAssembler, chunk: &[f64]) -> Vec<AssembledWindow> {
         let mut done = Vec::new();
@@ -224,11 +212,11 @@ mod tests {
         let window = 32;
         let mut a = WindowAssembler::new(window, window).unwrap();
         let signal: Vec<f64> = (0..10 * window + 7).map(|i| i as f64).collect();
-        let mut rng = XorShift(0xC0FFEE);
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         let mut fed = 0;
         let mut windows = 0;
         while fed < signal.len() {
-            let n = (1 + rng.next() as usize % (3 * window)).min(signal.len() - fed);
+            let n = (1 + rng.next_u64() as usize % (3 * window)).min(signal.len() - fed);
             for w in push_all(&mut a, &signal[fed..fed + n]) {
                 windows += 1;
                 a.recycle(w.samples);
@@ -254,7 +242,7 @@ mod tests {
         assert_eq!(a.samples_copied(), 9);
     }
 
-    /// A deterministic xorshift sweep over chunk sizes (1 sample up to
+    /// A deterministic random sweep over chunk sizes (1 sample up to
     /// multiple windows) must produce identical windows regardless of
     /// chunking, each holding exactly the underlying signal — with
     /// recycled buffers in play.
@@ -273,14 +261,14 @@ mod tests {
                 .collect();
         assert_eq!(reference.len(), (total - window) / stride + 1);
 
-        let mut rng = XorShift(0x5EED_CAFE);
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
         for _round in 0..20 {
             let mut a = WindowAssembler::new(window, stride).unwrap();
             let mut spans = Vec::new();
             let mut fed = 0usize;
             while fed < total {
                 // Chunk sizes from 1 sample to ~3 windows.
-                let chunk = (1 + (rng.next() as usize) % (3 * window)).min(total - fed);
+                let chunk = (1 + (rng.next_u64() as usize) % (3 * window)).min(total - fed);
                 for w in push_all(&mut a, &signal[fed..fed + chunk]) {
                     let lo = w.start as usize;
                     assert_eq!(w.samples, signal[lo..lo + window], "window {}", w.index);

@@ -1,7 +1,7 @@
 //! Property-based tests of the DSP substrate's numerical invariants.
 //!
 //! The offline build has no `proptest`, so the properties are exercised
-//! with a deterministic xorshift-driven case generator: same coverage
+//! with a deterministic seeded case generator: same coverage
 //! style (random-ish inputs, invariant assertions), fully reproducible.
 
 use biodsp::fft::{fft, ifft, Complex};
@@ -10,27 +10,24 @@ use biodsp::psd::{periodogram, Spectrum};
 use biodsp::resample::interp_linear;
 use biodsp::stats;
 use biodsp::window::WindowKind;
+use simrand::rngs::StdRng;
+use simrand::{Rng, SeedableRng};
 
-/// Deterministic case generator (xorshift64*).
-struct Gen(u64);
+/// Deterministic case generator over the workspace PRNG.
+struct Gen(StdRng);
 
 impl Gen {
     fn new(seed: u64) -> Self {
-        Gen(seed.max(1))
+        Gen(StdRng::seed_from_u64(seed))
     }
     fn u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
+        self.0.next_u64()
     }
     fn unit(&mut self) -> f64 {
-        (self.u64() >> 11) as f64 / (1u64 << 53) as f64
+        self.0.gen()
     }
     fn range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.unit() * (hi - lo)
+        self.0.gen_range(lo..hi)
     }
     fn int(&mut self, lo: usize, hi: usize) -> usize {
         lo + (self.u64() % (hi - lo + 1) as u64) as usize

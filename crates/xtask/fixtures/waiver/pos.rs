@@ -6,6 +6,8 @@ fn serve(values: &[f64]) -> f64 {
     let a = values.first().unwrap();
     // lint: allow
     let b = values.last().unwrap();
+    // lint: allow(hot-panik) — misspelt rule name waives nothing
+    let c = values.get(1).unwrap();
     // lint: deny(hot-panic) — not a directive we know
-    a + b
+    a + b + c
 }

@@ -9,34 +9,31 @@
 //!    panic-family calls and unhoisted slice indexing;
 //! 2. **hot-alloc** — `*_into` / `*_in_place` / scratch-taking
 //!    functions stay allocation-free after warm-up;
-//! 3. **unsafe-ledger** — every `unsafe` site carries a `// SAFETY:`
-//!    justification and appears in the committed `UNSAFE_LEDGER.md`;
-//! 4. **float-det** — bit-identity-critical kernel/lane modules use no
+//! 3. **float-det** — bit-identity-critical kernel/lane modules use no
 //!    `mul_add` and no `as f32` / `as f64` casts outside the approved
 //!    `Scalar` conversion helpers.
+//!
+//! No `unsafe` is a compiler gate, not a rule here: the workspace lint
+//! `unsafe_code = "forbid"` rejects every site, and the `live_tree`
+//! test `workspace_forbids_unsafe_code` pins that every member inherits
+//! it.
 //!
 //! Sites with a reviewed justification are waived in source:
 //! `// lint: allow(<rule>) — <reason>` (same line or the line above) or
 //! `// lint: allow-file(<rule>) — <reason>` for a whole file. Test code
 //! (`#[cfg(test)]` items; `tests/`, `benches/`, `examples/` trees) is
-//! exempt from the hot-path rules but still feeds the unsafe ledger.
+//! exempt from the hot-path rules.
 
-pub mod ledger;
 pub mod lexer;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-pub use ledger::UnsafeSite;
 pub use rules::{FileClass, Finding};
 
-use ledger::{render_ledger, unsafe_pass};
 use rules::{
     apply_waivers, float_det_pass, hot_alloc_pass, hot_index_pass, hot_panic_pass, parse_waivers,
 };
-
-/// Committed ledger filename at the workspace root.
-pub const LEDGER_FILE: &str = "UNSAFE_LEDGER.md";
 
 /// Hot modules: the allocation-free, panic-free serving paths
 /// (streaming ingest → extraction kernels → fleet flush → SVM kernel).
@@ -80,20 +77,15 @@ pub fn classify(rel: &str) -> FileClass {
 pub struct Report {
     /// Post-waiver findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
-    /// Full unsafe inventory (documented sites included).
-    pub unsafe_sites: Vec<UnsafeSite>,
     /// Files scanned.
     pub files: usize,
-    /// The regenerated ledger markdown.
-    pub ledger: String,
 }
 
 /// Lints one file's source text. Exposed for the fixture tests; the
 /// workspace driver is [`run_lint`].
-pub fn lint_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Vec<UnsafeSite>) {
+pub fn lint_source(rel: &str, src: &str, class: FileClass) -> Vec<Finding> {
     let lexed = lexer::lex(src);
     let toks = lexer::strip_cfg_test(lexed.toks);
-    let lines: Vec<&str> = src.lines().collect();
 
     let (waivers, mut findings) = parse_waivers(rel, &lexed.comments, &toks);
     let mut raw = Vec::new();
@@ -107,12 +99,10 @@ pub fn lint_source(rel: &str, src: &str, class: FileClass) -> (Vec<Finding>, Vec
     if class.float {
         raw.extend(float_det_pass(rel, &toks));
     }
-    let (sites, unsafe_findings) = unsafe_pass(rel, &toks, &lexed.comments, &lines);
-    raw.extend(unsafe_findings);
     findings.extend(apply_waivers(raw, &waivers));
     findings.sort_by(|a, b| (a.line, a.rule, &a.msg).cmp(&(b.line, b.rule, &b.msg)));
     findings.dedup();
-    (findings, sites)
+    findings
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -138,11 +128,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Runs every pass over the workspace rooted at `root` (the directory
-/// holding the top-level `Cargo.toml` and `crates/`). When
-/// `write_ledger` is set the regenerated inventory is written to
-/// [`LEDGER_FILE`]; otherwise a difference from the committed ledger is
-/// a finding.
-pub fn run_lint(root: &Path, write_ledger: bool) -> std::io::Result<Report> {
+/// holding the top-level `Cargo.toml` and `crates/`).
+pub fn run_lint(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     walk(&root.join("crates"), &mut files)?;
 
@@ -156,34 +143,33 @@ pub fn run_lint(root: &Path, write_ledger: bool) -> std::io::Result<Report> {
             .collect::<Vec<_>>()
             .join("/");
         let src = std::fs::read_to_string(path)?;
-        let (findings, sites) = lint_source(&rel, &src, classify(&rel));
-        report.findings.extend(findings);
-        report.unsafe_sites.extend(sites);
+        report
+            .findings
+            .extend(lint_source(&rel, &src, classify(&rel)));
         report.files += 1;
     }
 
-    report.ledger = render_ledger(&report.unsafe_sites);
-    let ledger_path = root.join(LEDGER_FILE);
-    if write_ledger {
-        std::fs::write(&ledger_path, &report.ledger)?;
-    } else {
-        let committed = std::fs::read_to_string(&ledger_path).unwrap_or_default();
-        if committed != report.ledger {
-            report.findings.push(Finding {
-                file: LEDGER_FILE.into(),
-                line: 1,
-                rule: "unsafe-ledger",
-                msg: format!(
-                    "{LEDGER_FILE} does not match the regenerated unsafe inventory \
-                     ({} sites); run `cargo run -p xtask -- lint --write-ledger` \
-                     and review the diff",
-                    report.unsafe_sites.len()
-                ),
-            });
-        }
-    }
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{FLOAT_MODULES, HOT_MODULES};
+    use std::path::Path;
+
+    /// A renamed or moved module would silently drop out of the
+    /// hot-path and float-determinism rules.
+    #[test]
+    fn hot_and_float_modules_exist() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in HOT_MODULES.iter().chain(FLOAT_MODULES) {
+            assert!(
+                root.join(rel).is_file(),
+                "{rel} is listed in HOT_MODULES/FLOAT_MODULES but does not exist"
+            );
+        }
+    }
 }

@@ -2,9 +2,8 @@
 //! (`xtask` crate) and README "Static analysis" for the rule catalogue.
 //!
 //! ```text
-//! cargo run -p xtask -- lint                 # lint, exit 1 on findings
-//! cargo run -p xtask -- lint --write-ledger  # also regenerate UNSAFE_LEDGER.md
-//! cargo run -p xtask -- lint --root DIR      # lint another workspace root
+//! cargo run -p xtask -- lint             # lint, exit 1 on findings
+//! cargo run -p xtask -- lint --root DIR  # lint another workspace root
 //! ```
 
 use std::path::PathBuf;
@@ -14,12 +13,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut root = PathBuf::from(".");
-    let mut write_ledger = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "lint" if cmd.is_none() => cmd = Some("lint"),
-            "--write-ledger" => write_ledger = true,
             "--root" => {
                 i += 1;
                 match args.get(i) {
@@ -32,14 +29,14 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: cargo run -p xtask -- lint [--write-ledger] [--root DIR]");
+                eprintln!("usage: cargo run -p xtask -- lint [--root DIR]");
                 return ExitCode::from(2);
             }
         }
         i += 1;
     }
     if cmd != Some("lint") {
-        eprintln!("usage: cargo run -p xtask -- lint [--write-ledger] [--root DIR]");
+        eprintln!("usage: cargo run -p xtask -- lint [--root DIR]");
         return ExitCode::from(2);
     }
 
@@ -56,22 +53,16 @@ fn main() -> ExitCode {
         }
     }
 
-    match xtask::run_lint(&base, write_ledger) {
+    match xtask::run_lint(&base) {
         Ok(report) => {
             for f in &report.findings {
                 println!("{f}");
             }
             println!(
-                "xtask lint: {} files, {} unsafe sites, {} finding{}{}",
+                "xtask lint: {} files, {} finding{}",
                 report.files,
-                report.unsafe_sites.len(),
                 report.findings.len(),
                 if report.findings.len() == 1 { "" } else { "s" },
-                if write_ledger {
-                    " (ledger written)"
-                } else {
-                    ""
-                },
             );
             if report.findings.is_empty() {
                 ExitCode::SUCCESS

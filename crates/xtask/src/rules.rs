@@ -11,8 +11,9 @@
 //!   whole file (used where a pattern is the module's idiom, e.g.
 //!   bounds-hoisted slice indexing in the fused kernels).
 //!
-//! A waiver without a written reason is itself a finding
-//! (`waiver-syntax`): the justification is the point.
+//! A waiver without a written reason, or one naming a rule that does
+//! not exist, is itself a finding (`waiver-syntax`): the justification
+//! is the point, and a misspelt rule name would waive nothing.
 
 use crate::lexer::{Comment, Tok, TokKind};
 
@@ -24,7 +25,7 @@ pub struct Finding {
     /// 1-based source line.
     pub line: u32,
     /// Rule identifier (`hot-panic`, `hot-index`, `hot-alloc`,
-    /// `unsafe-ledger`, `float-det`, `waiver-syntax`).
+    /// `float-det`, `waiver-syntax`).
     pub rule: &'static str,
     pub msg: String,
 }
@@ -51,6 +52,10 @@ pub struct FileClass {
     /// bench and example trees are exempt).
     pub alloc: bool,
 }
+
+/// The rule IDs a waiver may name: every rule except `waiver-syntax`,
+/// which is never waivable.
+const WAIVABLE_RULES: &[&str] = &["hot-panic", "hot-index", "hot-alloc", "float-det"];
 
 /// A parsed waiver comment.
 #[derive(Debug, Clone)]
@@ -126,6 +131,18 @@ pub fn parse_waivers(
                 msg: "waiver needs a rule list and a written reason: \
                       `lint: allow(<rule>) — <reason>`"
                     .into(),
+            });
+            continue;
+        }
+        if let Some(unknown) = rules.iter().find(|r| !WAIVABLE_RULES.contains(&r.as_str())) {
+            findings.push(Finding {
+                file: file.into(),
+                line: c.line,
+                rule: "waiver-syntax",
+                msg: format!(
+                    "waiver names unknown rule `{unknown}`; waivable rules are {}",
+                    WAIVABLE_RULES.join(", ")
+                ),
             });
             continue;
         }

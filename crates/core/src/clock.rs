@@ -1,6 +1,6 @@
 //! Serving clock: tick cadence, deadline accounting and log-bucketed
 //! latency histograms — the measurement substrate of the tick-driven
-//! runtime ([`crate::fleet::FleetScheduler::tick`]).
+//! runtime ([`crate::fleet::FleetScheduler::tick_into`]).
 //!
 //! ## Why a histogram and not an average
 //!
@@ -392,17 +392,6 @@ impl FleetClock {
         }
     }
 
-    /// Blocks until the next tick is due (wall source only; a virtual
-    /// clock jumps to the schedule inside [`FleetClock::begin_tick`]).
-    pub fn wait_until_due(&self) {
-        if matches!(self.cfg.source, ClockSource::Wall) {
-            let now = self.now_ns();
-            if self.next_tick_ns > now {
-                std::thread::sleep(std::time::Duration::from_nanos(self.next_tick_ns - now));
-            }
-        }
-    }
-
     /// Starts a tick: the tick begins at `max(now, scheduled)` and must
     /// end within one cadence of its *nominal* due time to meet its
     /// deadline.
@@ -643,9 +632,8 @@ mod tests {
         let o = c.end_tick(&t, 1);
         assert!(o.end_ns >= o.start_ns);
         assert_eq!(c.ticks(), 1);
-        // With a 1 ns cadence the wait is a no-op and the deadline is
-        // hopeless — accounting still adds up.
-        c.wait_until_due();
+        // With a 1 ns cadence the deadline is hopeless — accounting
+        // still adds up.
         assert_eq!(o.work_ns, o.end_ns - o.start_ns);
     }
 }

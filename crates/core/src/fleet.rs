@@ -84,8 +84,9 @@
 //!
 //! Production serving is cadence-driven, not caller-driven: configure
 //! [`FleetConfig::tick`] and drive the fleet with
-//! [`FleetScheduler::tick`] / [`FleetScheduler::run_ticks`] instead of
-//! ad-hoc `flush` calls. Each tick is one flush wrapped in
+//! [`FleetScheduler::tick_into`] instead of ad-hoc `flush` calls
+//! (pacing — waiting for [`FleetScheduler::next_tick_ns`] — is the
+//! caller's). Each tick is one flush wrapped in
 //! [`crate::clock::FleetClock`] deadline accounting (met/missed/slack
 //! vs the fixed cadence), and every ingested window carries an arrival
 //! timestamp so the fleet can histogram true **decision latency**
@@ -112,7 +113,7 @@
 // lint: allow-file(hot-index) — scheduler bookkeeping: slot/queue offsets are
 // maintained by the fleet's own maps and cursors; each is re-derived from the
 // structure it indexes in the same scope.
-use crate::alarm::{AlarmConfig, AlarmEvent};
+use crate::alarm::{score_events, AlarmConfig, AlarmEvent, EventMetrics, EventScoring, TruthEvent};
 use crate::clock::{FleetClock, LatencyHistogram, TickConfig, TickOutcome};
 use crate::error::CoreError;
 use crate::parallel::{par_map_n, par_map_with, worker_count};
@@ -121,7 +122,7 @@ use crate::stream::{
     StreamingSession, WindowDecision, LANE_GROUP,
 };
 use ecg_features::extract::{BatchExtractScratch, WindowExtractor};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -192,7 +193,7 @@ pub struct FleetConfig {
     /// only wall-clock.
     pub workers: Option<usize>,
     /// Serving clock for the tick-driven runtime
-    /// ([`FleetScheduler::tick`] / [`FleetScheduler::run_ticks`]):
+    /// ([`FleetScheduler::tick_into`]):
     /// `Some` gives the fleet a [`FleetClock`] at the configured
     /// cadence/time source and turns on arrival stamping + decision
     /// latency histograms. `None` (the default) is pure caller-driven
@@ -973,8 +974,9 @@ impl FleetScheduler {
         Ok(())
     }
 
-    /// One serving tick: exactly one [`FleetScheduler::flush`] wrapped
-    /// in the serving clock's deadline accounting. The tick starts at
+    /// One serving tick: exactly one [`FleetScheduler::flush_into`]
+    /// (`out` is cleared first and reused across ticks) wrapped in the
+    /// serving clock's deadline accounting. The tick starts at
     /// `max(now, scheduled)`, performs the flush (identical decisions
     /// to a caller-driven flush — the clock never reorders work), and
     /// ends measured (wall) or modeled (virtual, `rows × ns_per_row`).
@@ -983,26 +985,12 @@ impl FleetScheduler {
     /// plus the [`FleetStats::tick_work`] histogram), and each decided
     /// window's arrival→decision time lands in
     /// [`FleetStats::decision_latency`]. Never sleeps — pacing belongs
-    /// to [`FleetScheduler::run_ticks`].
+    /// to the caller.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the fleet has no
     /// serving clock ([`FleetConfig::tick`] is `None`).
-    pub fn tick(&mut self) -> Result<(FleetFlush, TickOutcome), CoreError> {
-        let mut out = FleetFlush::default();
-        let outcome = self.tick_into(&mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// [`FleetScheduler::tick`] into a caller-owned buffer (cleared
-    /// first) — the steady-state serving loop's allocation-reusing
-    /// form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the fleet has no
-    /// serving clock.
     pub fn tick_into(&mut self, out: &mut FleetFlush) -> Result<TickOutcome, CoreError> {
         let timing = self.clock_required()?.begin_tick();
         self.flush_into(out);
@@ -1029,31 +1017,6 @@ impl FleetScheduler {
         }
         self.tick_arrivals.clear();
         Ok(outcome)
-    }
-
-    /// Runs `n` cadence-paced ticks: before each tick the wall clock
-    /// sleeps until the tick is due (a virtual clock jumps to its
-    /// schedule instead), then the tick runs and `on_tick` sees its
-    /// flush and outcome. `scratch` is reused across ticks — decisions
-    /// from tick *k* are only valid inside `on_tick` until tick *k+1*
-    /// starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the fleet has no
-    /// serving clock.
-    pub fn run_ticks(
-        &mut self,
-        n: usize,
-        scratch: &mut FleetFlush,
-        mut on_tick: impl FnMut(&FleetFlush, &TickOutcome),
-    ) -> Result<(), CoreError> {
-        for _ in 0..n {
-            self.clock_required()?.wait_until_due();
-            let outcome = self.tick_into(scratch)?;
-            on_tick(scratch, &outcome);
-        }
-        Ok(())
     }
 
     /// Flush stage 1a: fleet-wide lane-batched extraction. Every window
@@ -1144,6 +1107,49 @@ impl FleetScheduler {
     pub fn patient_stats(&self, patient: PatientId) -> Option<StreamStats> {
         self.slot_index(patient)
             .map(|i| self.slots[i].session.stats())
+    }
+
+    /// Pooled event metrics (event sensitivity, FA/24h, detection
+    /// latency) of the patients in `truth`, scoring each patient's
+    /// `alarms` — collected by the caller from [`FleetFlush::alarms`] —
+    /// against their ground-truth seizures. A patient missing from
+    /// `alarms` raised none. A patient's monitored time is their
+    /// session's ingested samples or, on the row-ingest path where no
+    /// samples pass through the server, the span their decided windows
+    /// cover (`(windows − 1) · stride + window_len` samples), whichever
+    /// is larger, over the sampling rate.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidConfig`] when `truth` names a patient
+    /// who is not admitted.
+    pub fn event_metrics(
+        &self,
+        alarms: &BTreeMap<PatientId, Vec<AlarmEvent>>,
+        truth: &BTreeMap<PatientId, Vec<TruthEvent>>,
+    ) -> Result<EventMetrics, CoreError> {
+        let StreamConfig {
+            fs,
+            window_len,
+            stride,
+        } = self.cfg.stream;
+        let scoring = EventScoring::for_windows(fs, window_len);
+        let mut pooled = EventMetrics::default();
+        for (patient, events) in truth {
+            let Some(stats) = self.patient_stats(*patient) else {
+                return Err(CoreError::InvalidConfig(format!(
+                    "ground truth supplied for patient {patient}, who is not admitted"
+                )));
+            };
+            let window_span = match stats.windows {
+                0 => 0,
+                w => (w - 1) * stride as u64 + window_len as u64,
+            };
+            let monitored_s = stats.samples_in.max(window_span) as f64 / fs;
+            let raised = alarms.get(patient).map_or(&[][..], Vec::as_slice);
+            pooled.merge(&score_events(raised, events, monitored_s, &scoring));
+        }
+        Ok(pooled)
     }
 
     fn fresh_session(&self) -> Result<StreamingSession, CoreError> {
@@ -1350,7 +1356,7 @@ mod tests {
         .is_err());
         // A caller-driven fleet cannot tick.
         let mut untick = FleetScheduler::new(engine(), cfg()).unwrap();
-        assert!(untick.tick().is_err());
+        assert!(untick.tick_into(&mut FleetFlush::default()).is_err());
         assert!(untick.advance_clock(1).is_err());
         assert_eq!(untick.clock_now_ns(), None);
         assert_eq!(untick.next_tick_ns(), None);
@@ -1923,7 +1929,8 @@ mod tests {
         // its deadline.
         fleet.ingest_row(1, Some(&row(1.0))).unwrap();
         fleet.ingest_row(2, Some(&row(2.0))).unwrap();
-        let (flush, o) = fleet.tick().unwrap();
+        let mut flush = FleetFlush::default();
+        let o = fleet.tick_into(&mut flush).unwrap();
         assert_eq!(flush.decisions.len(), 2);
         assert_eq!(flush.rows_classified, 2);
         assert_eq!((o.start_ns, o.end_ns, o.work_ns), (1_000, 1_020, 20));
@@ -1945,45 +1952,17 @@ mod tests {
         for i in 0..200 {
             fleet.ingest_row(1, Some(&row(f64::from(i)))).unwrap();
         }
-        let (_, o) = fleet.tick().unwrap();
+        let o = fleet.tick_into(&mut flush).unwrap();
         assert!(!o.met);
         assert!(o.slack_ns < 0);
         let stats = fleet.stats();
         assert_eq!((stats.ticks, stats.deadlines_missed), (2, 1));
         assert_eq!(stats.worst_overrun_ns, o.slack_ns.unsigned_abs());
         // An idle tick decides nothing and is a zero-work deadline met.
-        let (flush, o) = fleet.tick().unwrap();
+        let o = fleet.tick_into(&mut flush).unwrap();
         assert!(flush.decisions.is_empty());
         assert_eq!(o.work_ns, 0);
         assert!(o.met);
-    }
-
-    #[test]
-    fn run_ticks_paces_and_reuses_the_scratch_buffer() {
-        let mut fleet = FleetScheduler::new(
-            engine(),
-            FleetConfig {
-                tick: Some(TickConfig::deterministic(1_000, 10)),
-                ..cfg()
-            },
-        )
-        .unwrap();
-        fleet.admit(1).unwrap();
-        fleet.ingest_row(1, Some(&row(1.0))).unwrap();
-        let mut scratch = FleetFlush::default();
-        let mut seen = Vec::new();
-        fleet
-            .run_ticks(3, &mut scratch, |flush, o| {
-                seen.push((o.index, flush.decisions.len()));
-            })
-            .unwrap();
-        // Tick 0 decides the row; the rest are idle but still tick on
-        // schedule.
-        assert_eq!(seen, vec![(0, 1), (1, 0), (2, 0)]);
-        assert_eq!(fleet.stats().ticks, 3);
-        // Caller-driven flush interleaves fine with ticking.
-        fleet.ingest_row(1, Some(&row(2.0))).unwrap();
-        assert_eq!(fleet.flush().decisions.len(), 1);
     }
 
     #[test]
@@ -2022,7 +2001,8 @@ mod tests {
         let mut flushed = FleetScheduler::new(engine(), cfg()).unwrap();
         workload(&mut ticked);
         workload(&mut flushed);
-        let (tick_flush, outcome) = ticked.tick().unwrap();
+        let mut tick_flush = FleetFlush::default();
+        let outcome = ticked.tick_into(&mut tick_flush).unwrap();
         assert!(outcome.met, "40 rows × 10 ns is far inside the cadence");
         assert_eq!(payload(&tick_flush), payload(&flushed.flush()));
     }
@@ -2058,6 +2038,24 @@ mod tests {
         assert_eq!(alarm.votes, 2);
         assert_eq!(fleet.patient_stats(1).unwrap().alarms, 1);
         assert_eq!(fleet.patient_stats(2).unwrap().alarms, 0);
+
+        // Event scoring over the caller's alarm map: patient 1's alarm
+        // (end of window 1 = 60 s) detects its seizure; patient 2 raised
+        // nothing and has no map entry, so its seizure is missed rather
+        // than an error. Row-fed, each patient's two 30-s windows are
+        // its monitored time.
+        let mut alarms: BTreeMap<PatientId, Vec<AlarmEvent>> = BTreeMap::new();
+        for &(p, a) in &flush.alarms {
+            alarms.entry(p).or_default().push(a);
+        }
+        let seizure = |onset_s, offset_s| vec![TruthEvent { onset_s, offset_s }];
+        let mut truth = BTreeMap::from([(1, seizure(50.0, 70.0)), (2, seizure(10.0, 20.0))]);
+        let m = fleet.event_metrics(&alarms, &truth).unwrap();
+        assert_eq!((m.n_events, m.detected, m.false_alarms), (2, 1, 0));
+        assert_eq!(m.monitored_s, 120.0);
+        // Ground truth for a patient who is not admitted is rejected.
+        truth.insert(99, Vec::new());
+        assert!(fleet.event_metrics(&alarms, &truth).is_err());
     }
 
     #[test]

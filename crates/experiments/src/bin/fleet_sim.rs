@@ -27,31 +27,17 @@
 //! section is deterministic — simulated time, not wall time.
 
 use experiments::{pct, render_table, RunConfig};
-use seizure_core::alarm::{
-    score_events, truth_events, AlarmConfig, AlarmEvent, EventMetrics, EventScoring, TruthEvent,
-};
+use seizure_core::alarm::{truth_events, AlarmConfig, AlarmEvent, TruthEvent};
 use seizure_core::clock::TickConfig;
 use seizure_core::config::FitConfig;
 use seizure_core::engine::{BitConfig, QuantizedEngine};
 use seizure_core::fleet::{FleetConfig, FleetFlush, FleetScheduler, OverloadPolicy, Watermarks};
 use seizure_core::stream::{SharedEngine, StreamConfig};
 use seizure_core::trained::FloatPipeline;
+use simrand::rngs::StdRng;
+use simrand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// xorshift64* interleaving driver (deterministic).
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
 
 fn main() {
     let cfg = RunConfig::parse(std::env::args());
@@ -97,21 +83,21 @@ fn main() {
         // Interleaved arrival: random patient, random chunk length,
         // flush roughly every third ingest — one batched kernel call
         // per flush, decisions bit-identical to solo streaming.
-        let mut rng = XorShift(0xF1EE7 ^ cfg.seed);
+        let mut rng = StdRng::seed_from_u64(0xF1EE7 ^ cfg.seed);
         let mut cursors = vec![0usize; recordings.len()];
         let mut live: Vec<usize> = (0..recordings.len()).collect();
         let mut alarms: BTreeMap<u64, Vec<AlarmEvent>> = BTreeMap::new();
-        let mut collect = |flush: seizure_core::fleet::FleetFlush| {
+        let mut collect = |flush: FleetFlush| {
             for (p, a) in flush.alarms {
                 alarms.entry(p).or_default().push(a);
             }
         };
         while !live.is_empty() {
-            let p = live[(rng.next() as usize) % live.len()];
+            let p = live[(rng.next_u64() as usize) % live.len()];
             let ecg = &recordings[p].ecg;
             let cur = cursors[p];
-            let len =
-                (1 + (rng.next() as usize) % (2 * stream_cfg.window_len)).clamp(1, ecg.len() - cur);
+            let len = (1 + (rng.next_u64() as usize) % (2 * stream_cfg.window_len))
+                .clamp(1, ecg.len() - cur);
             fleet
                 .ingest(p as u64, &ecg[cur..cur + len])
                 .expect("ingest");
@@ -119,25 +105,16 @@ fn main() {
             if cursors[p] == ecg.len() {
                 live.retain(|&q| q != p);
             }
-            if rng.next().is_multiple_of(3) {
+            if rng.next_u64().is_multiple_of(3) {
                 collect(fleet.flush());
             }
         }
         collect(fleet.flush());
 
         // Cohort event metrics: per-patient alarms vs ground truth.
-        let scoring = EventScoring::for_windows(stream_cfg.fs, stream_cfg.window_len);
-        let mut events = EventMetrics::default();
-        for (p, t) in &truth {
-            let monitored_s =
-                fleet.patient_stats(*p).expect("admitted").samples_in as f64 / stream_cfg.fs;
-            events.merge(&score_events(
-                alarms.get(p).map_or(&[][..], Vec::as_slice),
-                t,
-                monitored_s,
-                &scoring,
-            ));
-        }
+        let events = fleet
+            .event_metrics(&alarms, &truth)
+            .expect("every truth patient is admitted");
         let stats = fleet.stats();
         let stream = fleet.stream_stats();
         // Extract-vs-classify split, averaged per decided window: the

@@ -7,10 +7,9 @@
 //! running [`AlarmStateMachine::scan`] over the batch decision sequence
 //! of the same windows — for both the float pipeline and the quantised
 //! engine. Also pins the `decision == 0.0` boundary regression through
-//! `Confusion`, `classify` and streaming, and the fleet's cohort alarm
-//! report.
+//! `Confusion`, `classify` and streaming, and the fleet's pooled cohort
+//! event metrics.
 
-use epilepsy_monitor::fleet::FleetMonitor;
 use epilepsy_monitor::prelude::*;
 use seizure_core::alarm::{
     score_events, session_decision_sequence, truth_events, AlarmStateMachine, DroppedPolicy,
@@ -143,7 +142,7 @@ fn cohort_alarm_report_pools_event_metrics() {
         alarms: Some(AlarmConfig::k_of_n(1, 2)),
         ..FleetConfig::unbounded(cfg)
     };
-    let mut fleet = FleetMonitor::from_float_pipeline(pipeline().clone(), fleet_cfg).unwrap();
+    let mut fleet = FleetScheduler::new(Arc::new(pipeline().clone()), fleet_cfg).unwrap();
     let recs: Vec<_> = spec.sessions.iter().map(|s| s.synthesize()).collect();
     let mut truth = BTreeMap::new();
     for (id, rec) in recs.iter().enumerate() {
@@ -151,7 +150,8 @@ fn cohort_alarm_report_pools_event_metrics() {
         truth.insert(id as u64, truth_events(&rec.seizures));
     }
     // Raw samples in 1280-sample chunks, round-robin across patients,
-    // one flush per round.
+    // one flush per round; the caller collects each flush's alarms.
+    let mut alarms: BTreeMap<u64, Vec<AlarmEvent>> = BTreeMap::new();
     let longest = recs.iter().map(|r| r.ecg.len()).max().unwrap_or(0);
     for start in (0..longest).step_by(1280) {
         for (id, rec) in recs.iter().enumerate() {
@@ -160,13 +160,17 @@ fn cohort_alarm_report_pools_event_metrics() {
                 fleet.ingest(id as u64, &rec.ecg[start..end]).unwrap();
             }
         }
-        fleet.flush();
+        for (id, alarm) in fleet.flush().alarms {
+            alarms.entry(id).or_default().push(alarm);
+        }
     }
 
-    let report = fleet.cohort_report(Some(&truth)).expect("cohort report");
-    assert_eq!(report.alarms.len(), recs.len());
-    assert_eq!(report.total_alarms(), report.stream.alarms as usize);
-    let events = report.events.as_ref().expect("truth supplied");
+    let events = fleet.event_metrics(&alarms, &truth).expect("event metrics");
+    assert_eq!(alarms.len(), recs.len());
+    assert_eq!(
+        alarms.values().map(Vec::len).sum::<usize>(),
+        fleet.stream_stats().alarms as usize
+    );
     assert_eq!(events.n_events, 8, "Tiny cohort has 8 seizures");
     assert!(events.monitored_s > 0.0);
     assert!(events.event_sensitivity().is_some());
@@ -177,18 +181,13 @@ fn cohort_alarm_report_pools_event_metrics() {
     let mut by_hand = EventMetrics::default();
     for (id, rec) in recs.iter().enumerate() {
         by_hand.merge(&score_events(
-            fleet.patient_alarms(id as u64),
+            &alarms[&(id as u64)],
             &truth[&(id as u64)],
             rec.ecg.len() as f64 / rec.fs,
             &scoring,
         ));
     }
-    assert_eq!(*events, by_hand);
-
-    // Without ground truth the report still counts alarms.
-    let blind = fleet.cohort_report(None).expect("cohort report");
-    assert!(blind.events.is_none());
-    assert_eq!(blind.total_alarms(), report.total_alarms());
+    assert_eq!(events, by_hand);
 }
 
 /// The `decision == 0.0` seizure-boundary regression, end to end: one

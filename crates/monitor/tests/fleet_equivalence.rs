@@ -15,13 +15,17 @@
 //! fleet-owned two-executor pool (`Some(2)`), and the machine-default
 //! global pool (`None`). The staged flush pipeline (sharded extraction →
 //! parallel panel fan-out → ordered route-back) must be invisible in the
-//! results; only wall-clock may change. A worker panic during the panel
-//! stage must surface on the flushing caller, and the fleet's pool must
-//! survive for subsequent flushes.
+//! results; only wall-clock may change. A fleet restarted from a
+//! persisted pipeline ([`load_engine`]) decides bit-identically to the
+//! live one, and [`FleetScheduler::event_metrics`] pools cohort events
+//! against ground truth. A worker panic during the panel stage must
+//! surface on the flushing caller, and the fleet's pool must survive
+//! for subsequent flushes.
 
-use epilepsy_monitor::fleet::FleetMonitor;
+use epilepsy_monitor::load_engine;
 use epilepsy_monitor::prelude::*;
 use seizure_core::alarm::{truth_events, AlarmEvent, DroppedPolicy, TruthEvent};
+use seizure_core::fleet::FleetFlush;
 use seizure_core::stream::{SharedEngine, StreamingSession, WindowDecision};
 use simrand::rngs::StdRng;
 use simrand::{Rng, SeedableRng};
@@ -69,6 +73,13 @@ fn engines() -> Vec<(&'static str, SharedEngine)> {
         ("float", Arc::new(p.clone()) as SharedEngine),
         ("quantized", Arc::new(quantized) as SharedEngine),
     ]
+}
+
+/// Appends a flush's alarms to the caller's per-patient alarm map.
+fn collect_alarms(alarms: &mut BTreeMap<u64, Vec<AlarmEvent>>, flush: &FleetFlush) {
+    for &(p, a) in &flush.alarms {
+        alarms.entry(p).or_default().push(a);
+    }
 }
 
 /// Solo reference: each patient alone through a `StreamingSession` with
@@ -155,7 +166,7 @@ fn check_fleet(
     let mut cursors = vec![0usize; cohort.len()];
     let mut decisions: Vec<Vec<WindowDecision>> = vec![Vec::new(); cohort.len()];
     let mut alarms: Vec<Vec<AlarmEvent>> = vec![Vec::new(); cohort.len()];
-    let collect = |flush: seizure_core::fleet::FleetFlush,
+    let collect = |flush: FleetFlush,
                    decisions: &mut Vec<Vec<WindowDecision>>,
                    alarms: &mut Vec<Vec<AlarmEvent>>| {
         for d in flush.decisions {
@@ -290,7 +301,7 @@ fn fleet_alarms_match_solo_for_both_engines_and_both_dropped_policies() {
 }
 
 #[test]
-fn fleet_monitor_facade_reports_cohort_events_and_restarts_bit_identically() {
+fn restored_fleet_is_bit_identical_and_event_metrics_pool_the_cohort() {
     let spec = spec();
     let cfg = StreamConfig::non_overlapping(spec.scale.fs(), spec.scale.window_s()).unwrap();
     let alarm_cfg = AlarmConfig::k_of_n(1, 2);
@@ -304,18 +315,15 @@ fn fleet_monitor_facade_reports_cohort_events_and_restarts_bit_identically() {
     // produce bit-identical decision streams (float and quantised).
     let text = p.to_text();
     let bits = BitConfig::paper_choice();
-    let pairs: Vec<(FleetMonitor, FleetMonitor)> = vec![
-        (
-            FleetMonitor::from_float_pipeline(p.clone(), fleet_cfg).unwrap(),
-            FleetMonitor::from_saved_pipeline(&text, None, fleet_cfg).unwrap(),
-        ),
-        (
-            FleetMonitor::from_quantized(p, bits, fleet_cfg).unwrap(),
-            FleetMonitor::from_saved_pipeline(&text, Some(bits), fleet_cfg).unwrap(),
-        ),
+    let quantized: SharedEngine = Arc::new(QuantizedEngine::from_pipeline(p, bits).unwrap());
+    let pairs: Vec<(SharedEngine, SharedEngine)> = vec![
+        (Arc::new(p.clone()), load_engine(&text, None).unwrap()),
+        (quantized, load_engine(&text, Some(bits)).unwrap()),
     ];
     let sessions: Vec<_> = spec.sessions.iter().take(3).collect();
-    for (mut live, mut restored) in pairs {
+    for (live_engine, restored_engine) in pairs {
+        let mut live = FleetScheduler::new(live_engine, fleet_cfg).unwrap();
+        let mut restored = FleetScheduler::new(restored_engine, fleet_cfg).unwrap();
         assert_eq!(live.engine_info(), restored.engine_info());
         for (id, s) in sessions.iter().enumerate() {
             live.admit(id as u64).unwrap();
@@ -340,9 +348,9 @@ fn fleet_monitor_facade_reports_cohort_events_and_restarts_bit_identically() {
         assert_eq!(a.alarms, b.alarms);
     }
 
-    // Cohort report: pooled event metrics against ground truth, plus the
-    // wall-clock pooled throughput the merged stream stats cannot give.
-    let mut fleet = FleetMonitor::from_float_pipeline(p.clone(), fleet_cfg).unwrap();
+    // Pooled event metrics against ground truth, plus the wall-clock
+    // pooled throughput the merged stream stats cannot give.
+    let mut fleet = FleetScheduler::new(Arc::new(p.clone()), fleet_cfg).unwrap();
     let mut truth: BTreeMap<u64, Vec<TruthEvent>> = BTreeMap::new();
     for (id, s) in sessions.iter().enumerate() {
         fleet.admit(id as u64).unwrap();
@@ -352,36 +360,23 @@ fn fleet_monitor_facade_reports_cohort_events_and_restarts_bit_identically() {
     }
     let flush = fleet.flush();
     assert!(!flush.decisions.is_empty());
-    let report = fleet.cohort_report(Some(&truth)).unwrap();
-    let events = report.events.as_ref().expect("ground truth supplied");
+    let mut alarms = BTreeMap::new();
+    collect_alarms(&mut alarms, &flush);
+    let events = fleet.event_metrics(&alarms, &truth).unwrap();
     let n_truth: usize = truth.values().map(Vec::len).sum();
     assert_eq!(events.n_events, n_truth);
     assert!(events.monitored_s > 0.0);
+    let stream = fleet.stream_stats();
     assert_eq!(
-        report.total_alarms(),
-        report.stream.alarms as usize,
+        alarms.values().map(Vec::len).sum::<usize>(),
+        stream.alarms as usize,
         "collected alarms agree with session counters"
     );
-    assert!(report.stats.wall_windows_per_sec() > 0.0);
-    assert_eq!(report.stream.windows, flush.decisions.len() as u64);
+    assert!(fleet.stats().wall_windows_per_sec() > 0.0);
+    assert_eq!(stream.windows, flush.decisions.len() as u64);
     // Unknown patient in the truth map is rejected.
     truth.insert(999, Vec::new());
-    assert!(fleet.cohort_report(Some(&truth)).is_err());
-    // Without truth there are no event metrics.
-    assert!(fleet.cohort_report(None).unwrap().events.is_none());
-
-    // Facade lifecycle: restart clears collected alarms; remove hands
-    // back the session accounting plus the alarms collected across
-    // flushes.
-    fleet.restart(0).unwrap();
-    assert!(fleet.patient_alarms(0).is_empty());
-    let collected1 = fleet.patient_alarms(1).to_vec();
-    let (removed, alarms1) = fleet.remove(1).unwrap();
-    assert!(removed.stats.windows > 0);
-    assert_eq!(removed.discarded_windows, 0, "everything was flushed");
-    assert_eq!(alarms1, collected1);
-    assert!(fleet.remove(1).is_err());
-    assert!(fleet.patient_alarms(1).is_empty());
+    assert!(fleet.event_metrics(&alarms, &truth).is_err());
 }
 
 #[test]
@@ -466,10 +461,10 @@ fn worker_panic_in_the_panel_stage_surfaces_and_the_pool_survives() {
 }
 
 #[test]
-fn row_ingest_cohort_report_has_monitored_time() {
+fn row_ingest_event_metrics_have_monitored_time() {
     // Regression: a fleet fed exclusively through ingest_row (on-device
-    // extraction) passes no samples through the server, but the cohort
-    // report must still derive monitored time — from the stride-spaced
+    // extraction) passes no samples through the server, but event
+    // scoring must still derive monitored time — from the stride-spaced
     // span of decided windows — so FA/24h stays meaningful.
     let spec = spec();
     let cfg = StreamConfig::non_overlapping(spec.scale.fs(), spec.scale.window_s()).unwrap();
@@ -477,18 +472,18 @@ fn row_ingest_cohort_report_has_monitored_time() {
         alarms: Some(AlarmConfig::k_of_n(1, 1)),
         ..FleetConfig::unbounded(cfg)
     };
-    let mut fleet = FleetMonitor::from_float_pipeline(pipeline().clone(), fleet_cfg).unwrap();
+    let mut fleet = FleetScheduler::new(Arc::new(pipeline().clone()), fleet_cfg).unwrap();
     fleet.admit(0).unwrap();
     let row = vec![0.0; epilepsy_monitor::features::N_FEATURES];
     for _ in 0..6 {
         fleet.ingest_row(0, Some(&row)).unwrap();
     }
-    fleet.flush();
+    let mut alarms = BTreeMap::new();
+    collect_alarms(&mut alarms, &fleet.flush());
     assert_eq!(fleet.patient_stats(0).unwrap().samples_in, 0);
     // No true seizures: every alarm the constant rows raise is false.
     let truth: BTreeMap<u64, Vec<TruthEvent>> = [(0u64, Vec::new())].into();
-    let report = fleet.cohort_report(Some(&truth)).unwrap();
-    let events = report.events.expect("ground truth supplied");
+    let events = fleet.event_metrics(&alarms, &truth).unwrap();
     let expected_s = 6.0 * cfg.stride as f64 / cfg.fs;
     assert!((events.monitored_s - expected_s).abs() < 1e-9);
     assert!(

@@ -9,7 +9,7 @@
 //! the quantised engine. Windows the batch path drops (failed
 //! extraction) are exactly the windows the stream marks dropped.
 
-use epilepsy_monitor::fleet::load_engine;
+use epilepsy_monitor::load_engine;
 use epilepsy_monitor::prelude::*;
 use simrand::rngs::StdRng;
 use simrand::{Rng, SeedableRng};

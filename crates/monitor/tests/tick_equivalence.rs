@@ -2,7 +2,7 @@
 //! acceptance property:
 //!
 //! When the fleet is **unsaturated** (no admission gate engages), a
-//! tick-driven fleet ([`FleetMonitor::tick`] on a deterministic virtual
+//! tick-driven fleet ([`FleetScheduler::tick_into`] on a deterministic virtual
 //! clock) must produce **bit-identical** decision and alarm streams to
 //! a caller-driven fleet flushed at the same points in the same ingest
 //! schedule — for both engines and at every flush executor count
@@ -15,9 +15,9 @@
 //! histogram and deadline ledger, so SLO numbers from a simulation are
 //! reproducible artifacts.
 
-use epilepsy_monitor::fleet::FleetMonitor;
 use epilepsy_monitor::prelude::*;
 use seizure_core::clock::TickConfig;
+use seizure_core::fleet::FleetFlush;
 use seizure_core::stream::{SharedEngine, WindowDecision};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -80,19 +80,25 @@ fn drive(
         tick,
         ..FleetConfig::unbounded(cfg)
     };
-    let mut mon = FleetMonitor::new(Arc::clone(engine), fleet_cfg).expect("fleet config");
+    let mut mon = FleetScheduler::new(Arc::clone(engine), fleet_cfg).expect("fleet config");
     for p in 0..cohort.len() as u64 {
         mon.admit(p).expect("admit");
     }
     let mut decisions: Vec<Vec<WindowDecision>> = vec![Vec::new(); cohort.len()];
-    let drain = |mon: &mut FleetMonitor, decisions: &mut Vec<Vec<WindowDecision>>| {
-        let flush = if ticked {
-            mon.tick().expect("serving tick").0
+    let mut alarms: BTreeMap<u64, Vec<AlarmEvent>> =
+        (0..cohort.len() as u64).map(|p| (p, Vec::new())).collect();
+    let mut flush = FleetFlush::default();
+    let mut drain = |mon: &mut FleetScheduler| {
+        if ticked {
+            mon.tick_into(&mut flush).expect("serving tick");
         } else {
-            mon.flush()
-        };
-        for d in flush.decisions {
+            mon.flush_into(&mut flush);
+        }
+        for d in &flush.decisions {
             decisions[d.patient as usize].push(d.decision);
+        }
+        for &(p, a) in &flush.alarms {
+            alarms.entry(p).or_default().push(a);
         }
     };
     let mut cursors = vec![0usize; cohort.len()];
@@ -110,15 +116,11 @@ fn drive(
         }
         ingests += 1;
         if ingests.is_multiple_of(5) {
-            drain(&mut mon, &mut decisions);
+            drain(&mut mon);
         }
     }
-    drain(&mut mon, &mut decisions);
+    drain(&mut mon);
     assert_eq!(mon.stats().pending_windows, 0, "schedule must fully drain");
-
-    let alarms = (0..cohort.len() as u64)
-        .map(|p| (p, mon.patient_alarms(p).to_vec()))
-        .collect();
     (decisions, alarms, mon.stats())
 }
 
